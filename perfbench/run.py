@@ -151,7 +151,8 @@ class Loop:
         ``pauses`` are callables run at evenly spaced points of the run, with
         the clock stopped, so that what they measure samples the machine
         over the whole run rather than at one end of it.  With ``calibrate``
-        the reference work also runs, clock stopped, every CALIBRATE_EVERY_S.
+        the reference work also runs, clock stopped, once per
+        CALIBRATE_EVERY_S of the run.
         """
         busy = paused = 0.0
         pending = list(pauses)
@@ -174,7 +175,9 @@ class Loop:
                 pause_started = time.perf_counter()
                 self.references.append((pause_started, reference_work()))
                 paused += time.perf_counter() - pause_started
-                next_reference = active + CALIBRATE_EVERY_S
+                # after a long command several references are due: they all
+                # run, so the reference is about the same share of every run
+                next_reference += CALIBRATE_EVERY_S
                 continue
             if ops and active >= seconds:
                 return busy

@@ -305,8 +305,7 @@ class Readout:
                                 *(f"dev{i:05d},{v!r}" for i, v in enumerate(values.tolist()))])
             self.batches[size] = (path, values)
 
-        good_path, _, freqs, gains = self.sweeps["512g"]
-        lines = good_path.read_text(encoding="utf-8").splitlines()
+        lines = self.sweeps["512g"][0].read_text(encoding="utf-8").splitlines()
         lines[100] = lines[100].split(",")[0] + ",abc"
         self.bad_token = workdir / "bad_token.csv"
         _write_lines(self.bad_token, lines)
