@@ -275,7 +275,6 @@ class Readout:
 
     def __init__(self, seed: int, workdir: Path):
         rng = _seed_stream(seed, 3)
-        self.workdir = workdir
         self.sweeps: dict[str, tuple[Path, float, np.ndarray, np.ndarray]] = {}
         for size in self.SWEEP_SIZES:
             for form in ("g", "p"):
