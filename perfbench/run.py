@@ -55,7 +55,7 @@ END_TO_END = (
 # Extra set-ups in fresh interpreters (setup_s is the median of 1 + this) and
 # CLI launches (cold_start_s is their median), spread over the timed run.
 SETUP_PROBES = 2
-COLD_START_RUNS = 7
+COLD_START_RUNS = 6
 WARMUP_S = 1.0
 # Machine-speed calibration: the reference work runs every CALIBRATE_EVERY_S
 # of the timed run, and REFERENCE_S is its median duration on the machine the
@@ -64,6 +64,11 @@ WARMUP_S = 1.0
 CALIBRATE_EVERY_S = 0.2
 REFERENCE_S = 0.01
 LOCAL_S = 2.5
+# Process-launch calibration: every set-up and CLI launch runs between two
+# launches of a fresh interpreter that imports numpy, and is scaled to a
+# machine where that reference launch takes REFERENCE_LAUNCH_S (the same
+# machine as REFERENCE_S).
+REFERENCE_LAUNCH_S = 0.18
 TAIL_BEYOND = 10  # latency_tail_s is the highest percentile with this many ops beyond it
 
 
@@ -87,11 +92,9 @@ def setup(workload: str, seed: int, inputs: Path):
 
 def probe_setup(workload: str, seed: int) -> float:
     """Set-up time measured in a fresh interpreter, where nothing is imported yet."""
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
-         "--seed", str(seed), "--setup-only"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
-    )
+    elapsed, proc = _launch([str(Path(__file__).resolve()), "--workload", workload,
+                             "--seed", str(seed), "--setup-only"], timeout=120)
+    proc.check_returncode()
     return float(json.loads(proc.stdout.splitlines()[-1])["setup_s"])
 
 
@@ -211,15 +214,42 @@ def tail(latencies: list[float]) -> tuple[float, float]:
     return 100.0 * (n - TAIL_BEYOND) / n, ordered[n - TAIL_BEYOND - 1]
 
 
-def cold_start() -> tuple[float, str | None]:
-    """Wall time for a fresh interpreter to start the CLI and exit, and a
-    reason if it did not exit cleanly with its usage text."""
+def _launch(argv, timeout: float = 60) -> tuple[float, subprocess.CompletedProcess]:
+    """Run a fresh interpreter that sees ``src/``; returns (wall seconds, result)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "opampfit.cli", "--help"], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=60)
-    elapsed = time.perf_counter() - started
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return time.perf_counter() - started, proc
+
+
+def reference_launch() -> float:
+    """Wall time for a fresh interpreter to import numpy and exit."""
+    elapsed, proc = _launch(["-c", "import numpy"])
+    proc.check_returncode()
+    return elapsed
+
+
+def launch_scaled(measure):
+    """Calls ``measure`` between two reference launches; returns its first
+    result scaled by REFERENCE_LAUNCH_S over their mean, then what it returned.
+
+    Launch and import times drift by 20-30 % between runs on a shared host,
+    with memory and page-cache load that the CPU reference does not track;
+    the ratio to a launch right before and after stays within a few percent.
+    The reference imports only numpy, so changes to the program cannot move it.
+    """
+    before = reference_launch()
+    result = measure()
+    after = reference_launch()
+    return (result[0] * 2.0 * REFERENCE_LAUNCH_S / (before + after), *result)
+
+
+def cold_start() -> tuple[float, str | None]:
+    """Wall time for a fresh interpreter to start the CLI and exit, and a
+    reason if it did not exit cleanly with its usage text."""
+    elapsed, proc = _launch(["-m", "opampfit.cli", "--help"])
     if proc.returncode != 0 or "Usage:" not in proc.stdout:
         return elapsed, f"cold start exited {proc.returncode}: {proc.stderr[-200:]}"
     return elapsed, None
@@ -269,21 +299,24 @@ def main(argv=None) -> int:
 
     workdir = WORK / f"{args.workload}-seed{args.seed}-{os.getpid()}"
     try:
-        wl, setup_s = setup(args.workload, args.seed, workdir / "inputs")
         if args.setup_only:
+            _, setup_s = setup(args.workload, args.seed, workdir / "inputs")
             print(json.dumps({"setup_s": setup_s}))
             return 0
+        scaled_s, setup_s, wl = launch_scaled(
+            lambda: setup(args.workload, args.seed, workdir / "inputs")[::-1])
         import opampfit
         if Path(opampfit.__file__).resolve().parent != (SRC / "opampfit").resolve():
             print(f"error: imported opampfit from {opampfit.__file__}, not {SRC}",
                   file=sys.stderr)
             return 2
-        return _benchmark(args, wl, [setup_s])
+        return _benchmark(args, wl, [(scaled_s, setup_s)])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _benchmark(args, wl, setups: list[float]) -> int:
+def _benchmark(args, wl, setups: list[tuple[float, float]]) -> int:
+    """``setups`` holds (launch-scaled, unscaled) seconds of the set-ups so far."""
     from opampfit.cli import main as entry
 
     loop = Loop(wl)
@@ -291,7 +324,8 @@ def _benchmark(args, wl, setups: list[float]) -> int:
     info = provenance(args)
     print("provenance " + json.dumps(info, sort_keys=True))
 
-    launches: list[float] = []  # cold-start launches count as attempted commands
+    # (launch-scaled, unscaled) seconds; cold-start launches count as attempted commands
+    launches: list[tuple[float, float]] = []
     launch_failures: list[str] = []
     if args.trace:
         from tracing import PER_LAYER, Tracer
@@ -317,11 +351,11 @@ def _benchmark(args, wl, setups: list[float]) -> int:
         metrics = {name: _metric(layers[name], unit) for name, unit, *_ in PER_LAYER}
     else:
         def probe():
-            setups.append(probe_setup(args.workload, args.seed))
+            setups.append(launch_scaled(lambda: (probe_setup(args.workload, args.seed),)))
 
         def launch():
-            elapsed, problem = cold_start()
-            launches.append(elapsed)
+            scaled, elapsed, problem = launch_scaled(cold_start)
+            launches.append((scaled, elapsed))
             if problem is not None:
                 launch_failures.append(problem)
 
@@ -330,9 +364,6 @@ def _benchmark(args, wl, setups: list[float]) -> int:
                  + [launch] * (COLD_START_RUNS - SETUP_PROBES),
                  calibrate=True)
 
-        # Set-ups and launches run in other processes while this one idles,
-        # so the reference runs around them are not representative: they are
-        # scaled by the whole run's slowdown.
         overall = loop.slowdown(math.inf)
         latencies = [seconds / loop.slowdown(when)
                      for when, seconds in zip(loop.starts, loop.latencies)]
@@ -342,9 +373,9 @@ def _benchmark(args, wl, setups: list[float]) -> int:
             "ops_per_s": correct / sum(latencies),
             "latency_p50_s": statistics.median(latencies),
             "latency_tail_s": tail_s,
-            "setup_s": statistics.median(setups) / overall,
+            "setup_s": statistics.median(scaled for scaled, _ in setups),
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "cold_start_s": statistics.median(launches) / overall,
+            "cold_start_s": statistics.median(scaled for scaled, _ in launches),
         }
         print(f"latency_tail_s is p{tail_pct:.4g} of {len(latencies)} ops; "
               f"setup_s is the median of {len(setups)} set-ups; "
@@ -353,8 +384,8 @@ def _benchmark(args, wl, setups: list[float]) -> int:
               f"runs / {REFERENCE_S} s); unscaled: ops_per_s "
               f"{correct / sum(loop.latencies):.6g}, "
               f"latency_p50_s {statistics.median(loop.latencies):.6g}, "
-              f"setup_s {statistics.median(setups):.6g}, "
-              f"cold_start_s {statistics.median(launches):.6g}")
+              f"setup_s {statistics.median(raw for _, raw in setups):.6g}, "
+              f"cold_start_s {statistics.median(raw for _, raw in launches):.6g}")
         metrics = {name: _metric(values[name], unit) for name, unit in END_TO_END}
 
     attempted = len(loop.latencies) + len(launches)

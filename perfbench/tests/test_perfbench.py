@@ -138,6 +138,15 @@ def test_tail_is_highest_percentile_with_ten_ops_beyond():
     assert run.tail(latencies[:5]) == (100.0, 5.0)
 
 
+def test_launch_scaled_divides_by_the_mean_reference_launch(monkeypatch):
+    references = iter([0.1, 0.26, 0.3, 0.42])
+    monkeypatch.setattr(run, "reference_launch", lambda: next(references))
+    # mean reference 0.18 s: nominal, so the time is unchanged
+    assert run.launch_scaled(lambda: (1.5, "extra")) == pytest.approx((1.5, 1.5, "extra"))
+    # mean reference 0.36 s: the machine launches at half speed
+    assert run.launch_scaled(lambda: (1.5,)) == pytest.approx((0.75, 1.5))
+
+
 def test_spec_matches_the_code():
     assert [w["name"] for w in SPEC["workloads"]] == list(run.WORKLOAD_NAMES)
     assert sorted(run.WORKLOAD_NAMES) == sorted(workloads.WORKLOADS)
