@@ -18,9 +18,6 @@ from .base import ParamsMixin, as_float_array, check_is_fitted
 
 SQRT2 = math.sqrt(2.0)
 
-# two-sided Kolmogorov-Smirnov critical value of d*sqrt(N) at the 5 % level
-KOLMOGOROV_CRITICAL_5PCT = 1.358
-
 
 def normal_reference_cdf(x) -> np.ndarray:
     """Standard normal CDF, (1 + erf(x/sqrt(2)))/2."""

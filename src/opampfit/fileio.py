@@ -211,8 +211,6 @@ class RunConfig:
     spacing: str = "linear"
     sigma_rel: float = 0.0
     steps_per_period: int = 256
-    settle_periods: int | None = None
-    measure_periods: int = 4
     steps_per_tau: int = 16
     seed: int = 0
 
@@ -221,10 +219,7 @@ class RunConfig:
         "divider_r1_ohm": False, "divider_r2_ohm": False,
         "f_min_hz": False, "f_max_hz": False, "sigma_rel": False,
     }
-    _INT_FIELDS = (
-        "n_points", "steps_per_period", "settle_periods", "measure_periods",
-        "steps_per_tau", "seed",
-    )
+    _INT_FIELDS = ("n_points", "steps_per_period", "steps_per_tau", "seed")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
@@ -239,9 +234,7 @@ class RunConfig:
                 else:
                     value = _as_number(value, key, allow_inf=cls._NUMBER_FIELDS[key])
             elif key in cls._INT_FIELDS:
-                if key == "settle_periods" and value is None:
-                    pass
-                elif isinstance(value, bool) or not isinstance(value, int):
+                if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"config field {key!r}: expected an integer, got {value!r}")
             elif key == "spacing":
                 if not isinstance(value, str):
@@ -301,8 +294,6 @@ class RunConfig:
     def sim_config(self) -> SimConfig:
         return SimConfig(
             steps_per_period=self.steps_per_period,
-            settle_periods=self.settle_periods,
-            measure_periods=self.measure_periods,
             steps_per_tau=self.steps_per_tau,
         )
 

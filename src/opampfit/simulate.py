@@ -11,8 +11,16 @@ forcing term built from three stimulus samples per step; the recurrence is
 evaluated with :func:`scipy.signal.lfilter`, which reproduces the naive
 step-by-step trajectory at C speed.
 
-Gain magnitudes are recovered from the settled output by a virtual lock-in:
-sine/cosine projection over a whole number of stimulus periods.
+The stimulus is periodic with a whole number ``N`` of steps per period, so
+the steady state is the periodic orbit of that map and is found exactly
+rather than by settling (the linear case of the shooting method, Aprille &
+Trick 1972): one period is integrated from rest to give ``u_N``, the orbit
+starts on the fixed point ``u0 = u_N / (1 - A**N)``, and ``u0 * A**k`` is
+added to the from-rest trajectory.  That needs ``|A| < 1``, which is checked
+before anything is integrated.
+
+Gain magnitudes are recovered from that one-period output by a virtual
+lock-in: sine/cosine projection over the whole period.
 """
 
 from __future__ import annotations
@@ -27,8 +35,16 @@ from .circuit import TWO_PI, DeviceParams, Topology
 from .extraction import SweepRecord
 
 
+# Largest drive array (half-grid samples, quarter-grid with a simulated
+# repeater) that one sweep point may allocate; larger plans are refused
+# before anything is allocated.
+MAX_DRIVE_SAMPLES = 2**23
+
+
 class SimulationError(RuntimeError):
-    """Integration produced a non-finite state."""
+    """The planned integration is too large or unstable, or it produced a
+    non-finite state.  ``step_index`` is the first offending step (0 when
+    the plan is refused before integrating)."""
 
     def __init__(self, message: str, step_index: int, frequency: float | None = None):
         super().__init__(message)
@@ -55,30 +71,23 @@ class Stimulus:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and measurement-window settings.
+    """Integration step settings.
 
     ``steps_per_period`` is the minimum number of RK4 steps per stimulus
-    period (>= 64).  ``settle_periods=None`` selects the automatic rule:
-    enough whole periods to cover ten closed-loop time constants, and never
-    fewer than five.  ``steps_per_tau`` additionally refines the step so the
+    period (>= 64).  ``steps_per_tau`` additionally refines the step so the
     closed-loop time constant is resolved by at least that many steps
-    (0 disables the refinement; the integration may then go unstable, which
-    is reported as :class:`SimulationError`).  Demodulation averages over
-    whole periods, so both window lengths are integer period counts.
+    (0 disables the refinement; the step may then be unstable, which is
+    reported as :class:`SimulationError`).  Every point integrates exactly
+    one stimulus period on its periodic steady state, so there is no
+    settling or measurement window to configure.
     """
 
     steps_per_period: int = 256
-    settle_periods: int | None = None
-    measure_periods: int = 4
     steps_per_tau: int = 16
 
     def __post_init__(self):
         if self.steps_per_period < 64:
             raise ValueError(f"steps_per_period must be >= 64, got {self.steps_per_period!r}")
-        if self.settle_periods is not None and self.settle_periods < 1:
-            raise ValueError(f"settle_periods must be >= 1, got {self.settle_periods!r}")
-        if self.measure_periods < 1:
-            raise ValueError(f"measure_periods must be >= 1, got {self.measure_periods!r}")
         if self.steps_per_tau < 0:
             raise ValueError(f"steps_per_tau must be >= 0, got {self.steps_per_tau!r}")
 
@@ -172,25 +181,40 @@ def _rk4_affine(a: float, h: float) -> tuple[float, float, float, float]:
 
 
 def _integrate_linear(a: float, forcing_half_grid: np.ndarray, h: float) -> np.ndarray:
-    """RK4 trajectory of ``u' = a*u + g(t)`` from u(0) = 0.
+    """Periodic RK4 trajectory of ``u' = a*u + g(t)`` for a periodic ``g``.
 
-    ``forcing_half_grid`` holds g at times 0, h/2, h, ... (2*n_steps + 1
-    samples); returns the n_steps + 1 states at the whole-step grid.
+    ``forcing_half_grid`` holds g at times 0, h/2, h, ... over exactly one
+    period of N steps (2*N + 1 samples, endpoint included); returns the
+    N + 1 states on the whole-step grid of the periodic orbit, so the last
+    state equals the first.  The recurrence runs once from rest and is then
+    shifted onto the orbit by adding ``u0 * A**k``.
     """
     big_a, c1, c2, c3 = _rk4_affine(a, h)
+    # A is the quartic Taylor polynomial of exp(a*h), which is always
+    # positive, so A < 1 is the whole stability condition
+    if not big_a < 1.0:
+        raise SimulationError(
+            f"RK4 step is unstable (growth factor {big_a:.6g} >= 1 per step; "
+            f"step size {h:.3e} s does not resolve the loop time constant)",
+            step_index=1,
+        )
     b = (h / 6.0) * (
         c1 * forcing_half_grid[0:-1:2]
         + c2 * forcing_half_grid[1::2]
         + c3 * forcing_half_grid[2::2]
     )
-    u = np.empty(b.size + 1)
+    n_steps = b.size
+    u = np.empty(n_steps + 1)
     u[0] = 0.0
     u[1:] = lfilter([1.0], [1.0, -big_a], b)
+    log_a = math.log(big_a)
+    u0 = u[-1] / -math.expm1(n_steps * log_a)
+    decay = np.arange(n_steps + 1) * log_a
+    u += u0 * np.exp(decay, out=decay)
     if not np.isfinite(u).all():
         first_bad = int(np.argmin(np.isfinite(u)))
         raise SimulationError(
-            f"integration overflowed to a non-finite state at step {first_bad} "
-            f"(step size {h:.3e} s does not resolve the loop time constant)",
+            f"integration overflowed to a non-finite state at step {first_bad}",
             step_index=first_bad,
         )
     return u
@@ -208,21 +232,37 @@ def _plan_window(
     frequency: float,
     cfg: SimConfig,
     repeater_dev: DeviceParams | None,
-) -> tuple[int, int, int]:
-    """Steps per period, settle periods, measure periods for one run."""
+) -> int:
+    """RK4 steps per stimulus period for one run, refused with
+    :class:`SimulationError` when the drive would exceed
+    ``MAX_DRIVE_SAMPLES``."""
     period = 1.0 / frequency
-    tau_closed = 1.0 / _loop_rate(dev, topo)
     n = cfg.steps_per_period
     if cfg.steps_per_tau > 0:
-        tau_cap = tau_closed
+        tau_cap = 1.0 / _loop_rate(dev, topo)
         if repeater_dev is not None:
             # repeater integrates at half step, so it tolerates 2x its tau
             tau_cap = min(tau_cap, 2.0 / _loop_rate(repeater_dev, Topology.repeater()))
         n = max(n, math.ceil(cfg.steps_per_tau * period / tau_cap))
-    settle = cfg.settle_periods
-    if settle is None:
-        settle = max(5, math.ceil(10.0 * tau_closed * frequency))
-    return n, settle, cfg.measure_periods
+    samples = (4 if repeater_dev is not None else 2) * n + 1
+    if samples > MAX_DRIVE_SAMPLES:
+        raise SimulationError(
+            f"at {frequency:.6g} Hz one stimulus period needs {n} RK4 steps, a "
+            f"{samples}-sample drive; the per-point limit is {MAX_DRIVE_SAMPLES} "
+            "samples (raise the lowest sweep frequency)",
+            step_index=0,
+            frequency=frequency,
+        )
+    return n
+
+
+def _sine_period(amplitude: float, frequency: float, dt: float, n_samples: int) -> np.ndarray:
+    """``amplitude * sin(2*pi*f*t)`` at ``t = 0, dt, ...``, built in place."""
+    wave = np.arange(n_samples) * dt
+    wave *= TWO_PI * frequency
+    np.sin(wave, out=wave)
+    wave *= amplitude
+    return wave
 
 
 def simulate_steady_state(
@@ -232,37 +272,36 @@ def simulate_steady_state(
     cfg: SimConfig | None = None,
     repeater_dev: DeviceParams | None = None,
 ) -> TimeSeries:
-    """Drive the closed loop with a sinusoid and record the settled output.
+    """Drive the closed loop with a sinusoid and record one period of its
+    periodic steady state.
 
-    Integrates from ``U0(0) = 0`` through the settling window, then records
-    ``measure_periods`` whole periods of the output (endpoint included, so
-    the trace spans an exact integer number of periods).  A configured input
-    divider attenuates the stimulus ahead of the amplifier.  The source
-    repeater stage is an ideal pass-through unless ``repeater_dev`` is given,
-    in which case it is simulated as a unity-gain loop around that device.
+    The output is the exact periodic orbit of the RK4 map (see the module
+    docstring): ``N + 1`` samples spanning one stimulus period with the
+    endpoint included, so the last sample repeats the first.  A configured
+    input divider attenuates the stimulus ahead of the amplifier.  The
+    source repeater stage is an ideal pass-through unless ``repeater_dev`` is
+    given, in which case it is simulated as a unity-gain loop around that
+    device, and its own one-period orbit is the amplifier's periodic drive.
     """
     cfg = cfg or SimConfig()
-    n, settle, measure = _plan_window(dev, topo, stim.frequency, cfg, repeater_dev)
+    n = _plan_window(dev, topo, stim.frequency, cfg, repeater_dev)
     h = 1.0 / (stim.frequency * n)
-    n_steps = (settle + measure) * n
 
     try:
         if repeater_dev is None:
-            t_half = np.arange(2 * n_steps + 1) * (h / 2.0)
-            drive = stim.amplitude * np.sin(TWO_PI * stim.frequency * t_half)
+            drive = _sine_period(stim.amplitude, stim.frequency, h / 2.0, 2 * n + 1)
         else:
             # unity-gain source follower integrated at half step; its states
             # land exactly on the amplifier's half grid
-            t_quarter = np.arange(4 * n_steps + 1) * (h / 4.0)
-            raw = stim.amplitude * np.sin(TWO_PI * stim.frequency * t_quarter)
+            raw = _sine_period(stim.amplitude, stim.frequency, h / 4.0, 4 * n + 1)
+            raw /= repeater_dev.tau0
             a_rep = -_loop_rate(repeater_dev, Topology.repeater())
-            drive = _integrate_linear(a_rep, raw / repeater_dev.tau0, h / 2.0)
-        forcing = (topo.divider_ratio / dev.tau0) * drive
-        u = _integrate_linear(-_loop_rate(dev, topo), forcing, h)
+            drive = _integrate_linear(a_rep, raw, h / 2.0)
+        drive *= topo.divider_ratio / dev.tau0
+        u = _integrate_linear(-_loop_rate(dev, topo), drive, h)
     except SimulationError as err:
         raise SimulationError(str(err), err.step_index, frequency=stim.frequency) from None
-    start = settle * n
-    return TimeSeries(dt=h, samples=u[start : start + measure * n + 1])
+    return TimeSeries(dt=h, samples=u)
 
 
 def lockin_demodulate(ts: TimeSeries, reference_f: float) -> float:
@@ -303,9 +342,11 @@ def run_sweep(
 ) -> SweepRecord:
     """Simulate a frequency sweep and record end-to-end gain at each point.
 
-    At every planned frequency the circuit is simulated, the raw stimulus and
-    the settled output are both lock-in demodulated, and the recorded gain is
-    their amplitude ratio, optionally scaled by ``1 + eps`` with
+    At every planned frequency one period of the steady-state output is
+    simulated and lock-in demodulated, and the recorded gain is its
+    amplitude over the stimulus amplitude (the lock-in of a sampled pure
+    sine over a whole period is its amplitude to rounding, so no reference
+    trace is demodulated), optionally scaled by ``1 + eps`` with
     ``eps ~ Normal(0, sigma_rel)``.  Each point's draw comes from a generator
     seeded with ``(seed, point index)``, never from a shared stream, so the
     result is reproducible bit-for-bit and independent of evaluation order
@@ -322,11 +363,7 @@ def run_sweep(
     for k, f in enumerate(freqs):
         stim = Stimulus(amplitude=1.0, frequency=float(f))
         out = simulate_steady_state(dev, topo, stim, cfg, repeater_dev=repeater_dev)
-        reference = TimeSeries(
-            dt=out.dt,
-            samples=stim.amplitude * np.sin(TWO_PI * f * out.times),
-        )
-        gain = lockin_demodulate(out, float(f)) / lockin_demodulate(reference, float(f))
+        gain = lockin_demodulate(out, float(f)) / stim.amplitude
         if noise.sigma_rel > 0.0:
             rng = np.random.default_rng([*seed_words, k])
             gain *= 1.0 + noise.sigma_rel * rng.standard_normal()

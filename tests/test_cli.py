@@ -18,6 +18,7 @@ from opampfit import (
 )
 from opampfit.cli import main
 from opampfit.fileio import parse_metadata
+from opampfit.simulate import MAX_DRIVE_SAMPLES
 
 
 @pytest.fixture
@@ -82,6 +83,28 @@ class TestSynth:
             closed_loop_gain(DeviceParams(f0=39.6e6), Topology(1989.0, 20.1), 1e4)
         )
         assert record.gain[0] == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("field", ["settle_periods", "measure_periods"])
+    def test_removed_window_fields_are_unknown(self, runner, tmp_path, field):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"{field}": 4}}', encoding="utf-8")
+        result = runner.invoke(main, ["synth", str(tmp_path / "s.csv"), "--config", str(cfg)])
+        assert result.exit_code == 3
+        assert "unknown config field" in result.stderr
+
+    def test_point_over_drive_cap_is_numeric_error(self, runner, tmp_path):
+        # 16 steps per closed-loop time constant put one 23 Hz period of the
+        # default loop at ~4.2 M steps: a drive just over the per-point cap
+        rate = Topology(feedback_r=100.0, gain_r=1.0).beta / DeviceParams(f0=97.73e6).tau0
+        samples = 2 * math.ceil(16 * (1.0 / 23.0) * rate) + 1
+        assert MAX_DRIVE_SAMPLES < samples < 1.01 * MAX_DRIVE_SAMPLES
+        out = tmp_path / "s.csv"
+        result = runner.invoke(
+            main, ["synth", str(out), "--fmin", "23", "--fmax", "1e5", "--points", "3"]
+        )
+        assert result.exit_code == 4
+        assert "at 23 Hz" in result.stderr and f"{samples}-sample" in result.stderr
+        assert not out.exists()
 
 
 class TestFit:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from opampfit import (
     DeviceParams,
@@ -143,9 +144,9 @@ class TestSimulateSteadyState:
         )
         assert simulated_gain(dev, topo, f, repeater_dev=rep) == pytest.approx(oracle, rel=1e-3)
 
-    def test_settle_window_grows_near_corner(self):
-        # at f >> f_corner the 10-tau rule needs more than 5 periods and the
-        # demodulated amplitude must still match the closed form
+    def test_slow_loop_near_corner_matches_closed_form(self):
+        # at f >> f_corner the loop decays by only exp(-1.6) per period, so
+        # the trace is right only if it starts on the periodic orbit
         dev = DeviceParams(f0=1e7)
         topo = Topology.repeater()
         oracle = abs(closed_loop_gain(dev, topo, 4e7))
@@ -179,8 +180,7 @@ class TestSimulateInvariants:
         dev = DeviceParams(f0=1e5, g0=1e4)
         topo = Topology(feedback_r=30.0, gain_r=10.0, divider=(100.0, 50.0))
         f = 1e4
-        cfg = SimConfig(steps_per_period=256, settle_periods=2, measure_periods=1,
-                        steps_per_tau=16)
+        cfg = SimConfig(steps_per_period=256, steps_per_tau=16)
         out = simulate_steady_state(dev, topo, Stimulus(1.0, f), cfg)
 
         n = round(1.0 / (f * out.dt))
@@ -198,6 +198,86 @@ class TestSimulateInvariants:
             u = rk4_step(rhs, t, u, h)
             t = (step + 1) * h
         np.testing.assert_allclose(out.samples, np.array(trace), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "f0, topo, f, rep_f0",
+        [
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), 1e4, None),
+            (1e7, Topology.repeater(), 4e7, None),
+            # the loop decays by only exp(-0.06) per period here
+            (1e6, Topology.repeater(), 1e8, None),
+            (5e6, Topology(feedback_r=100.0, gain_r=10.0), 1e5, 5e7),
+        ],
+    )
+    def test_trace_is_one_period_of_the_orbit(self, f0, topo, f, rep_f0):
+        rep = None if rep_f0 is None else DeviceParams(f0=rep_f0)
+        out = simulate_steady_state(DeviceParams(f0=f0), topo, Stimulus(1.0, f), repeater_dev=rep)
+        assert (out.samples.size - 1) * out.dt * f == pytest.approx(1.0, rel=1e-12)
+        assert out.samples[-1] == pytest.approx(out.samples[0], rel=1e-12)
+
+    @pytest.mark.parametrize("stage", ["amplifier", "repeater"])
+    def test_unstable_step_is_refused(self, stage):
+        # with the time-constant refinement off, the step is ~5000 repeater
+        # time constants (repeater case) or ~10 amplifier ones: |A| >> 1
+        cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
+        topo = Topology(feedback_r=100.0, gain_r=1.0)
+        if stage == "amplifier":
+            dev, rep = DeviceParams(f0=1e8), None
+        else:
+            dev, rep = DeviceParams(f0=1e4), DeviceParams(f0=1e9)
+        with pytest.raises(SimulationError, match="unstable") as excinfo:
+            simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg, repeater_dev=rep)
+        assert excinfo.value.step_index > 0
+        assert excinfo.value.frequency == 1e4
+
+
+def legacy_sweep_gain(dev, topo, f, repeater_dev=None):
+    """Sweep gain by the settle-then-measure method: integrate RK4 from rest
+    through max(5, ceil(10 tau f)) settling periods and 4 measured ones, and
+    divide the lock-in amplitudes of the last 4 output periods and of the
+    stimulus over them.  Each RK4 step is applied to whole arrays: its
+    homogeneous factor is the step from u = 1 without drive, and its
+    forcing term the step from u = 0 with drive."""
+
+    def rate(d, t):
+        return (t.beta + d.inv_g0) / d.tau0
+
+    def rk4_from_rest(a, g, h):
+        # g holds the forcing on the half-step grid
+        def step(u, g0, g_half, g1):
+            k1 = a * u + g0
+            k2 = a * (u + h / 2.0 * k1) + g_half
+            k3 = a * (u + h / 2.0 * k2) + g_half
+            k4 = a * (u + h * k3) + g1
+            return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        growth = step(1.0, 0.0, 0.0, 0.0)
+        forcing = step(0.0, g[0:-1:2], g[1::2], g[2::2])
+        return np.concatenate(([0.0], lfilter([1.0], [1.0, -growth], forcing)))
+
+    tau_cap = 1.0 / rate(dev, topo)
+    if repeater_dev is not None:
+        tau_cap = min(tau_cap, 2.0 / rate(repeater_dev, Topology.repeater()))
+    n = max(256, math.ceil(16 * (1.0 / f) / tau_cap))
+    settle = max(5, math.ceil(10.0 * f / rate(dev, topo)))
+    steps = (settle + 4) * n
+    h = 1.0 / (f * n)
+    if repeater_dev is None:
+        drive = np.sin(TWO_PI * f * np.arange(2 * steps + 1) * (h / 2.0))
+    else:
+        raw = np.sin(TWO_PI * f * np.arange(4 * steps + 1) * (h / 4.0))
+        drive = rk4_from_rest(-rate(repeater_dev, Topology.repeater()),
+                              raw / repeater_dev.tau0, h / 2.0)
+    u = rk4_from_rest(-rate(dev, topo), topo.divider_ratio / dev.tau0 * drive, h)
+
+    t = np.arange(4 * n + 1) * h
+
+    def amplitude(x):
+        i_part = np.trapezoid(x * np.cos(TWO_PI * f * t), dx=h)
+        q_part = np.trapezoid(x * np.sin(TWO_PI * f * t), dx=h)
+        return math.hypot(i_part, q_part)
+
+    return amplitude(u[settle * n:]) / amplitude(np.sin(TWO_PI * f * t))
 
 
 class TestRunSweep:
@@ -244,6 +324,24 @@ class TestRunSweep:
     def test_log_spacing(self):
         freqs = SweepPlan(1e3, 1e6, 4, spacing="log").frequencies()
         np.testing.assert_allclose(freqs, [1e3, 1e4, 1e5, 1e6], rtol=1e-12)
+
+    @pytest.mark.parametrize("f_max", [1e5, 1e6])
+    def test_gains_match_settle_then_measure(self, f_max):
+        # the default and criterion-3 plans, eight points each
+        dev = DeviceParams(f0=97.73e6)
+        topo = Topology(feedback_r=100.0, gain_r=1.0)
+        record = run_sweep(dev, topo, SweepPlan(1e4, f_max, 512))
+        for k in np.linspace(0, 511, 8).astype(int):
+            f = float(record.frequency_hz[k])
+            assert record.gain[k] == pytest.approx(legacy_sweep_gain(dev, topo, f), rel=1e-12)
+
+    def test_repeater_gains_match_settle_then_measure(self):
+        dev = DeviceParams(f0=5e6)
+        rep = DeviceParams(f0=5e7)
+        topo = Topology(feedback_r=100.0, gain_r=10.0)
+        record = run_sweep(dev, topo, SweepPlan(1e5, 1.2e5, 3), repeater_dev=rep)
+        oracle = [legacy_sweep_gain(dev, topo, float(f), rep) for f in record.frequency_hz]
+        np.testing.assert_allclose(record.gain, oracle, rtol=1e-12, atol=0.0)
 
     def test_simulation_error_carries_frequency(self):
         dev = DeviceParams(f0=1e8)
