@@ -52,6 +52,7 @@ from .simulate import (
     Stimulus,
     SweepPlan,
     TimeSeries,
+    add_gain_noise,
     closed_loop_ode_rhs,
     lockin_demodulate,
     rk4_step,
@@ -84,6 +85,7 @@ __all__ = [
     "SweepRecord",
     "TimeSeries",
     "Topology",
+    "add_gain_noise",
     "analyze_batch",
     "batch_stats",
     "closed_loop_gain",

@@ -2,9 +2,10 @@
 
 Subcommands: ``synth`` (simulate a sweep to CSV), ``fit`` (regression
 readout of a sweep file), ``quick`` (regression-free readout), ``batch``
-(distribution report over many fitted f0 values), ``mc`` (repeated
-synth+fit producing a batch file).  Exit codes: 0 success, 2 usage errors,
-3 file/config parse errors, 4 numerical/fit errors.
+(distribution report over many fitted f0 values), ``mc`` (one noiseless
+sweep, then seeded noise and a fit per trial, producing a batch file).
+Exit codes: 0 success, 2 usage errors, 3 file/config parse errors,
+4 numerical/fit errors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .fileio import (
     write_batch_file,
     write_sweep_file,
 )
-from .simulate import SimulationError, run_sweep
+from .simulate import SimulationError, add_gain_noise, run_sweep
 
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
@@ -289,26 +290,28 @@ def batch(batch_path, plot_dir):
 @_config_options
 def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, fmax,
        spacing, big_r, small_r):
-    """Monte-Carlo harness: repeat synth+fit, write fitted f0 values as a
-    batch CSV (one row per trial)."""
+    """Monte-Carlo harness: simulate the noiseless sweep once, then per
+    trial redraw the gain noise with seed ``(seed, trial)`` and fit it;
+    writes the fitted f0 values as a batch CSV (one row per trial).  The
+    result equals running synth+fit per trial, bit-for-bit."""
     cfg = _load_config(config_path)
     _apply_overrides(cfg, seed, noise, points, fmin, fmax, spacing, big_r, small_r)
-    device = cfg.device()
-    topo = cfg.topology()
-    plan = cfg.sweep_plan()
     noise_model = cfg.noise()
-    sim_cfg = cfg.sim_config()
+    try:
+        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None,
+                          cfg.sim_config())
+    except SimulationError as err:
+        _fail(EXIT_NUMERIC, str(err))
     f0_values = np.empty(trials)
     corr_pass = 0
     try:
         for trial in range(trials):
-            record = run_sweep(device, topo, plan, noise_model, sim_cfg,
-                               seed=(cfg.seed, trial))
+            record = add_gain_noise(clean, noise_model, seed=(cfg.seed, trial))
             result = fit_f0(record)
             f0_values[trial] = result.f0_hz
             if result.corr >= corr_threshold:
                 corr_pass += 1
-    except (FitError, SimulationError) as err:
+    except FitError as err:
         _fail(EXIT_NUMERIC, f"trial {trial}: {err}")
     ids = [str(trial + 1) for trial in range(trials)]
     meta = {
@@ -317,15 +320,28 @@ def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, f
         "trials": trials,
         "truth_f0_hz": repr(cfg.f0_hz),
         "sigma_rel": repr(cfg.sigma_rel),
+        "g0": repr(cfg.g0),
+        "feedback_r_ohm": repr(cfg.feedback_r_ohm),
+        "gain_r_ohm": repr(cfg.gain_r_ohm),
+        "n_points": repr(cfg.n_points),
+        "f_min_hz": repr(cfg.f_min_hz),
+        "f_max_hz": repr(cfg.f_max_hz),
+        "spacing": cfg.spacing,
+        "steps_per_period": repr(cfg.steps_per_period),
+        "steps_per_tau": repr(cfg.steps_per_tau),
     }
+    if cfg.divider_r1_ohm is not None:
+        meta["divider_r1_ohm"] = repr(cfg.divider_r1_ohm)
+        meta["divider_r2_ohm"] = repr(cfg.divider_r2_ohm)
     write_batch_file(output, ids, f0_values, format_metadata(meta))
-    mean = float(f0_values.mean())
     click.echo(f"trials = {trials}")
-    click.echo(f"mean_f0_hz = {mean:.6g}")
     if trials >= 2:
-        spread = float(f0_values.std(ddof=1))
+        mean, spread = batch_stats(f0_values)
+        click.echo(f"mean_f0_hz = {mean:.6g}")
         click.echo(f"stddev_f0_hz = {spread:.6g}")
         click.echo(f"spread_over_mean_pct = {100.0 * spread / mean:.6g}")
+    else:
+        click.echo(f"mean_f0_hz = {f0_values[0]:.6g}")
     click.echo(f"corr_threshold = {corr_threshold:.6g}")
     click.echo(f"corr_pass_fraction = {corr_pass / trials:.6g}")
     click.echo(f"wrote {output}")

@@ -26,7 +26,7 @@ lock-in: sine/cosine projection over the whole period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -39,6 +39,10 @@ from .extraction import SweepRecord
 # repeater) that one sweep point may allocate; larger plans are refused
 # before anything is allocated.
 MAX_DRIVE_SAMPLES = 2**23
+
+# Most points one sweep plan may hold; a plan is refused before its
+# frequency grid is built, since the per-point cap does not bound a sweep.
+MAX_SWEEP_POINTS = 2**16
 
 
 class SimulationError(RuntimeError):
@@ -117,7 +121,8 @@ class TimeSeries:
 @dataclass(frozen=True)
 class SweepPlan:
     """Frequency grid of a gain sweep: 512 points over 10-100 kHz by
-    default, linearly spaced (``spacing="log"`` for log spacing)."""
+    default, linearly spaced (``spacing="log"`` for log spacing), at most
+    ``MAX_SWEEP_POINTS`` points."""
 
     f_min: float = 1.0e4
     f_max: float = 1.0e5
@@ -129,8 +134,10 @@ class SweepPlan:
             raise ValueError(
                 f"need 0 < f_min < f_max, got f_min={self.f_min!r} f_max={self.f_max!r}"
             )
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points!r}")
+        if not 3 <= self.n_points <= MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"n_points must be between 3 and {MAX_SWEEP_POINTS}, got {self.n_points!r}"
+            )
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
 
@@ -331,6 +338,29 @@ def lockin_demodulate(ts: TimeSeries, reference_f: float) -> float:
     return math.hypot(i_part, q_part)
 
 
+def add_gain_noise(
+    record: SweepRecord,
+    noise: NoiseModel,
+    seed: int | tuple[int, ...] = 0,
+) -> SweepRecord:
+    """Scale each gain of ``record`` by ``1 + eps`` with
+    ``eps ~ Normal(0, sigma_rel)``.
+
+    Point ``k``'s draw comes from its own generator seeded with
+    ``(*seed, k)`` (``(seed, k)`` for an integer seed), never from a shared
+    stream, so the result is reproducible bit-for-bit and independent of
+    evaluation order.  A noiseless model returns ``record`` itself.
+    """
+    if noise.sigma_rel == 0.0:
+        return record
+    seed_words = (seed,) if isinstance(seed, int) else tuple(seed)
+    gains = np.array(record.gain)
+    for k in range(gains.size):
+        rng = np.random.default_rng([*seed_words, k])
+        gains[k] *= 1.0 + noise.sigma_rel * rng.standard_normal()
+    return replace(record, gain=gains)
+
+
 def run_sweep(
     dev: DeviceParams,
     topo: Topology,
@@ -346,32 +376,26 @@ def run_sweep(
     simulated and lock-in demodulated, and the recorded gain is its
     amplitude over the stimulus amplitude (the lock-in of a sampled pure
     sine over a whole period is its amplitude to rounding, so no reference
-    trace is demodulated), optionally scaled by ``1 + eps`` with
-    ``eps ~ Normal(0, sigma_rel)``.  Each point's draw comes from a generator
-    seeded with ``(seed, point index)``, never from a shared stream, so the
-    result is reproducible bit-for-bit and independent of evaluation order
-    (points may therefore be evaluated concurrently without changing the
-    output; this implementation runs them sequentially).
+    trace is demodulated).  The noiseless record is then passed through
+    :func:`add_gain_noise` with ``noise`` and ``seed``, so
+    ``run_sweep(..., noise, seed=s)`` equals
+    ``add_gain_noise(run_sweep(..., noise=None), noise, s)`` bit-for-bit and
+    a caller that redraws only the noise can simulate the sweep once.
     """
     plan = plan or SweepPlan()
-    noise = noise or NoiseModel()
     cfg = cfg or SimConfig()
-    seed_words = (seed,) if isinstance(seed, int) else tuple(seed)
 
     freqs = plan.frequencies()
     gains = np.empty(freqs.size)
     for k, f in enumerate(freqs):
         stim = Stimulus(amplitude=1.0, frequency=float(f))
         out = simulate_steady_state(dev, topo, stim, cfg, repeater_dev=repeater_dev)
-        gain = lockin_demodulate(out, float(f)) / stim.amplitude
-        if noise.sigma_rel > 0.0:
-            rng = np.random.default_rng([*seed_words, k])
-            gain *= 1.0 + noise.sigma_rel * rng.standard_normal()
-        gains[k] = gain
-    return SweepRecord(
+        gains[k] = lockin_demodulate(out, float(f)) / stim.amplitude
+    record = SweepRecord(
         frequency_hz=freqs,
         gain=gains,
         feedback_r=topo.feedback_r,
         gain_r=topo.gain_r,
         label="synthetic",
     )
+    return add_gain_noise(record, noise or NoiseModel(), seed)

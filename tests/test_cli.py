@@ -8,17 +8,22 @@ from click.testing import CliRunner
 
 from opampfit import (
     DeviceParams,
+    NoiseModel,
+    SweepPlan,
     SweepRecord,
     Topology,
     closed_loop_gain,
+    fit_f0,
     read_batch_file,
     read_sweep_file,
+    run_sweep,
     write_batch_file,
     write_sweep_file,
 )
+from opampfit import cli
 from opampfit.cli import main
 from opampfit.fileio import parse_metadata
-from opampfit.simulate import MAX_DRIVE_SAMPLES
+from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
 
 
 @pytest.fixture
@@ -299,6 +304,76 @@ class TestMc:
         first = out.read_bytes()
         assert runner.invoke(main, args).exit_code == 0
         assert out.read_bytes() == first
+
+    def test_matches_per_trial_synth_and_fit(self, runner, tmp_path):
+        # oracle: simulate the noisy sweep from scratch for every trial
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--trials", "3", "--points", "16", "--seed", "4",
+                "--noise", "1e-4"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        dev = DeviceParams(f0=97.73e6)
+        topo = Topology(feedback_r=100.0, gain_r=1.0)
+        plan = SweepPlan(1e4, 1e5, 16)
+        oracle = [
+            fit_f0(run_sweep(dev, topo, plan, NoiseModel(1e-4), seed=(4, trial))).f0_hz
+            for trial in range(3)
+        ]
+        ids, values, _ = read_batch_file(out)
+        assert ids == ["1", "2", "3"]
+        assert values.tolist() == oracle
+
+    def test_header_carries_run_provenance(self, runner, tmp_path):
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--trials", "2", "--points", "8", "--fmin", "2e4",
+                "--fmax", "3e5", "--spacing", "log", "--R", "1989", "--r", "20.1",
+                "--seed", "6", "--noise", "1e-4"]
+        assert runner.invoke(main, args).exit_code == 0
+        _, _, comments = read_batch_file(out)
+        meta = parse_metadata(comments)
+        assert meta["generator"] == "opampfit mc"
+        assert (meta["seed"], meta["trials"], meta["sigma_rel"]) == ("6", "2", "0.0001")
+        assert int(meta["n_points"]) == 8
+        assert float(meta["f_min_hz"]) == 2e4 and float(meta["f_max_hz"]) == 3e5
+        assert meta["spacing"] == "log"
+        assert float(meta["feedback_r_ohm"]) == 1989.0
+        assert float(meta["gain_r_ohm"]) == 20.1
+        assert float(meta["g0"]) == math.inf
+        assert int(meta["steps_per_period"]) == 256
+        assert int(meta["steps_per_tau"]) == 16
+
+    def test_simulation_error_is_not_a_trial_error(self, runner, tmp_path):
+        out = tmp_path / "mc.csv"
+        result = runner.invoke(main, ["mc", str(out), "--fmin", "23"])
+        assert result.exit_code == 4
+        assert result.stderr.startswith("error: at 23 Hz")
+        assert "trial" not in result.stderr
+        assert not out.exists()
+
+    def test_fit_error_names_its_trial(self, runner, tmp_path):
+        # three points 100 Hz apart leave the roll-off below the noise, and
+        # trial 2 of seed 1 fits a non-positive slope
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--trials", "5", "--points", "3", "--fmax", "1.01e4",
+                "--noise", "1e-3", "--seed", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert result.stderr.startswith("error: trial 2: sweep does not resolve roll-off")
+        assert not out.exists()
+
+    def test_too_many_points_refused_before_simulating(self, runner, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called for a refused plan")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "mc.csv"
+        points = str(MAX_SWEEP_POINTS + 1)
+        assert points == "65537"
+        for command in ("mc", "synth"):
+            result = runner.invoke(main, [command, str(out), "--points", points])
+            assert result.exit_code == 3
+            assert "n_points" in result.stderr and points in result.stderr
+        assert not out.exists()
 
     def test_full_pipeline_reproduces_device_spread(self, runner, tmp_path):
         """End-to-end: 400 noisy synth+fit trials tuned for a ~1.66 %

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from opampfit import (
@@ -15,6 +17,7 @@ from opampfit import (
     SweepPlan,
     TimeSeries,
     Topology,
+    add_gain_noise,
     closed_loop_gain,
     closed_loop_ode_rhs,
     fit_f0,
@@ -23,6 +26,7 @@ from opampfit import (
     run_sweep,
     simulate_steady_state,
 )
+from opampfit.simulate import MAX_SWEEP_POINTS
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,6 +325,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepPlan(1e4, 1e5, 2)
 
+    def test_plan_points_are_bounded(self):
+        assert SweepPlan(1e4, 1e5, MAX_SWEEP_POINTS).n_points == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="n_points"):
+            SweepPlan(1e4, 1e5, MAX_SWEEP_POINTS + 1)
+
     def test_log_spacing(self):
         freqs = SweepPlan(1e3, 1e6, 4, spacing="log").frequencies()
         np.testing.assert_allclose(freqs, [1e3, 1e4, 1e5, 1e6], rtol=1e-12)
@@ -350,3 +359,58 @@ class TestRunSweep:
         with pytest.raises(SimulationError) as excinfo:
             run_sweep(dev, topo, SweepPlan(1e4, 2e4, 3), cfg=cfg)
         assert excinfo.value.frequency == pytest.approx(1e4)
+
+
+def noise_oracle(clean, sigma, seed_words):
+    """Gains of ``clean`` scaled point by point with the documented
+    ``(*seed_words, k)`` stream, written out independently of the library."""
+    gains = []
+    for k, gain in enumerate(clean.gain):
+        z = np.random.default_rng([*seed_words, k]).standard_normal()
+        gains.append(gain * (1.0 + sigma * z))
+    return np.array(gains)
+
+
+class TestAddGainNoise:
+    DEV = DeviceParams(f0=9.773e7)
+    TOPO = Topology(feedback_r=100.0, gain_r=1.0)
+
+    @pytest.mark.parametrize(
+        ("seed", "words"), [(7, (7,)), ((303, 4), (303, 4)), ((5, 0, 9), (5, 0, 9))]
+    )
+    def test_reuse_equals_noisy_sweep(self, seed, words):
+        plan = SweepPlan(1e4, 1e5, 16)
+        noise = NoiseModel(3e-3)
+        clean = run_sweep(self.DEV, self.TOPO, plan)
+        reused = add_gain_noise(clean, noise, seed)
+        direct = run_sweep(self.DEV, self.TOPO, plan, noise, seed=seed)
+        assert np.array_equal(reused.gain, direct.gain)
+        assert np.array_equal(reused.frequency_hz, direct.frequency_hz)
+        assert np.array_equal(direct.gain, noise_oracle(clean, 3e-3, words))
+        assert (reused.feedback_r, reused.gain_r, reused.label) == (
+            direct.feedback_r, direct.gain_r, direct.label)
+
+    def test_noiseless_model_returns_record(self):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8))
+        assert add_gain_noise(clean, NoiseModel(0.0), (1, 2)) is clean
+        direct = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8), NoiseModel(0.0), seed=3)
+        assert np.array_equal(direct.gain, clean.gain)
+
+    def test_input_record_is_not_modified(self):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8))
+        before = clean.gain.copy()
+        add_gain_noise(clean, NoiseModel(0.03), 1)
+        assert np.array_equal(clean.gain, before)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_points=st.integers(min_value=3, max_value=8),
+        order=st.permutations(range(5)),
+    )
+    def test_trial_records_do_not_depend_on_order(self, n_points, order):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, n_points))
+        noise = NoiseModel(1e-3)
+        shuffled = {trial: add_gain_noise(clean, noise, (9, trial)).gain for trial in order}
+        for trial in range(5):
+            in_order = add_gain_noise(clean, noise, (9, trial)).gain
+            assert np.array_equal(shuffled[trial], in_order)
