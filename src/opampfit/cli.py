@@ -305,13 +305,18 @@ def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, f
     f0_values = np.empty(trials)
     corr_pass = 0
     try:
-        for trial in range(trials):
-            record = add_gain_noise(clean, noise_model, seed=(cfg.seed, trial))
-            result = fit_f0(record)
-            f0_values[trial] = result.f0_hz
-            if result.corr >= corr_threshold:
-                corr_pass += 1
-    except FitError as err:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CalibrationWarning)
+            for trial in range(trials):
+                record = add_gain_noise(clean, noise_model, seed=(cfg.seed, trial))
+                seen = len(caught)
+                result = fit_f0(record)
+                for w in caught[seen:]:
+                    click.echo(f"warning: trial {trial}: {w.message}", err=True)
+                f0_values[trial] = result.f0_hz
+                if result.corr >= corr_threshold:
+                    corr_pass += 1
+    except (SimulationError, FitError) as err:
         _fail(EXIT_NUMERIC, f"trial {trial}: {err}")
     ids = [str(trial + 1) for trial in range(trials)]
     meta = {

@@ -6,21 +6,34 @@ The output voltage of the feedback loop obeys the first-order equation
 
 which is integrated with classical fixed-step 4th-order Runge-Kutta.  For
 this linear equation one RK4 step is exactly the affine map
-``u[k+1] = A*u[k] + B[k]`` with a constant homogeneous factor ``A`` and a
-forcing term built from three stimulus samples per step; the recurrence is
-evaluated with :func:`scipy.signal.lfilter`, which reproduces the naive
-step-by-step trajectory at C speed.
+``u[k+1] = A*u[k] + (h/6)*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1})`` with a
+constant homogeneous factor ``A`` and three stimulus samples per step.
+Every planned step must be stable, ``A < 1``, which is checked before
+anything is computed.
 
-The stimulus is periodic with a whole number ``N`` of steps per period, so
-the steady state is the periodic orbit of that map and is found exactly
-rather than by settling (the linear case of the shooting method, Aprille &
-Trick 1972): one period is integrated from rest to give ``u_N``, the orbit
-starts on the fixed point ``u0 = u_N / (1 - A**N)``, and ``u0 * A**k`` is
-added to the from-rest trajectory.  That needs ``|A| < 1``, which is checked
-before anything is integrated.
+The time-domain trace API (:func:`simulate_steady_state`,
+:func:`lockin_demodulate`) evaluates that recurrence with
+:func:`scipy.signal.lfilter`, which reproduces the naive step-by-step
+trajectory at C speed.  The stimulus is periodic with a whole number ``N``
+of steps per period, so the steady state is the periodic orbit of the map
+and is found exactly rather than by settling (the linear case of the
+shooting method, Aprille & Trick 1972): one period is integrated from rest
+to give ``u_N``, the orbit starts on the fixed point
+``u0 = u_N / (1 - A**N)``, and ``u0 * A**k`` is added to the from-rest
+trajectory.  A virtual lock-in (sine/cosine projection over the whole
+period) reads an amplitude off such a trace.
 
-Gain magnitudes are recovered from that one-period output by a virtual
-lock-in: sine/cosine projection over the whole period.
+:func:`run_sweep` needs only that amplitude, which the map gives in closed
+form: driven by a sampled sinusoid ``g = Im(G*exp(j*w*t))``, its periodic
+orbit is exactly ``u_k = Im(U*exp(j*w*k*h))`` with
+
+    U = G * (h/6)*(c1 + c2*exp(j*w*h/2) + c3*exp(j*w*h)) / (exp(j*w*h) - A)
+
+and the whole-period lock-in of that orbit returns ``|U|`` to rounding.  A
+simulated repeater is the same map at step ``h/2`` whose orbit is the
+amplifier's drive, so its factor multiplies in.  A sweep therefore costs a
+few array operations per point, whatever its step count; it is planned and
+checked exactly like the trace, drive-sample cap included.
 """
 
 from __future__ import annotations
@@ -46,9 +59,10 @@ MAX_SWEEP_POINTS = 2**16
 
 
 class SimulationError(RuntimeError):
-    """The planned integration is too large or unstable, or it produced a
-    non-finite state.  ``step_index`` is the first offending step (0 when
-    the plan is refused before integrating)."""
+    """The planned integration is too large or unstable, it produced a
+    non-finite state, or gain noise made a recorded gain non-positive.
+    ``step_index`` is the first offending step (0 when the plan is refused
+    before integrating, or for a noise draw)."""
 
     def __init__(self, message: str, step_index: int, frequency: float | None = None):
         super().__init__(message)
@@ -176,35 +190,53 @@ def rk4_step(rhs, t: float, y: float, h: float) -> float:
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_affine(a: float, h: float) -> tuple[float, float, float, float]:
-    """Homogeneous factor and forcing weights of one RK4 step applied to
-    ``u' = a*u + g(t)``:  u[k+1] = A*u[k] + h/6*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1})."""
+def _rk4_affine(a: float, h):
+    """Homogeneous factor less one, ``A - 1``, and forcing weights of one RK4
+    step applied to ``u' = a*u + g(t)``:
+    u[k+1] = A*u[k] + h/6*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1}),
+    elementwise for an array of steps ``h``.  ``A - 1`` is kept apart from
+    the 1 so a small step keeps its digits."""
     z = a * h
-    big_a = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    a_m1 = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
     c1 = 1.0 + z * (1.0 + z * (0.5 + z / 4.0))
     c2 = 4.0 + z * (2.0 + z * 0.5)
     c3 = 1.0
-    return big_a, c1, c2, c3
+    return a_m1, c1, c2, c3
 
 
-def _integrate_linear(a: float, forcing_half_grid: np.ndarray, h: float) -> np.ndarray:
+def _stable_affine(a: float, h, frequency):
+    """:func:`_rk4_affine` for steps ``h`` taken at each ``frequency`` (a
+    scalar or an ascending array), refused with :class:`SimulationError` at
+    the first frequency whose step is unstable."""
+    step = _rk4_affine(a, h)
+    # A is the quartic Taylor polynomial of exp(a*h), which is always
+    # positive, so A < 1 is the whole stability condition.  The step grows
+    # as the frequency falls, so the unstable points lead an ascending plan.
+    big_a = 1.0 + np.ravel(step[0])
+    unstable = np.flatnonzero(~(big_a < 1.0))
+    if unstable.size:
+        k = unstable[0]
+        raise SimulationError(
+            f"RK4 step is unstable (growth factor {big_a[k]:.6g} >= 1 per step; "
+            f"step size {np.ravel(h)[k]:.3e} s does not resolve the loop time constant)",
+            step_index=1,
+            frequency=float(np.ravel(frequency)[k]),
+        )
+    return step
+
+
+def _integrate_linear(step, forcing_half_grid: np.ndarray, h: float) -> np.ndarray:
     """Periodic RK4 trajectory of ``u' = a*u + g(t)`` for a periodic ``g``.
 
+    ``step`` is the stable map of :func:`_stable_affine`;
     ``forcing_half_grid`` holds g at times 0, h/2, h, ... over exactly one
     period of N steps (2*N + 1 samples, endpoint included); returns the
     N + 1 states on the whole-step grid of the periodic orbit, so the last
     state equals the first.  The recurrence runs once from rest and is then
     shifted onto the orbit by adding ``u0 * A**k``.
     """
-    big_a, c1, c2, c3 = _rk4_affine(a, h)
-    # A is the quartic Taylor polynomial of exp(a*h), which is always
-    # positive, so A < 1 is the whole stability condition
-    if not big_a < 1.0:
-        raise SimulationError(
-            f"RK4 step is unstable (growth factor {big_a:.6g} >= 1 per step; "
-            f"step size {h:.3e} s does not resolve the loop time constant)",
-            step_index=1,
-        )
+    a_m1, c1, c2, c3 = step
+    big_a = 1.0 + a_m1
     b = (h / 6.0) * (
         c1 * forcing_half_grid[0:-1:2]
         + c2 * forcing_half_grid[1::2]
@@ -227,6 +259,20 @@ def _integrate_linear(a: float, forcing_half_grid: np.ndarray, h: float) -> np.n
     return u
 
 
+def _orbit_response(a: float, h: np.ndarray, frequency: np.ndarray) -> np.ndarray:
+    """Complex ratio ``U/G`` of the periodic RK4 orbit of ``u' = a*u + g``,
+    ``u_k = Im(U*exp(j*w*k*h))``, to a sinusoidal drive
+    ``g = Im(G*exp(j*w*t))`` sampled on the half-step grid, at each
+    ``frequency`` with its step ``h``."""
+    a_m1, c1, c2, c3 = _stable_affine(a, h, frequency)
+    half_phase = np.pi * frequency * h
+    half = np.exp(1j * half_phase)
+    # exp(j*w*h) - A, written as (exp(j*w*h) - 1) - (A - 1) so that neither
+    # a fine step nor a slow loop cancels its leading digits
+    pole = 2j * np.sin(half_phase) * half - a_m1
+    return (h / 6.0) * (c1 + c2 * half + c3 * half * half) / pole
+
+
 def _loop_rate(dev: DeviceParams, topo: Topology) -> float:
     """Closed-loop decay rate (beta + 1/g0)/tau0; its reciprocal is the
     closed-loop time constant."""
@@ -236,31 +282,38 @@ def _loop_rate(dev: DeviceParams, topo: Topology) -> float:
 def _plan_window(
     dev: DeviceParams,
     topo: Topology,
-    frequency: float,
+    frequency,
     cfg: SimConfig,
     repeater_dev: DeviceParams | None,
-) -> int:
-    """RK4 steps per stimulus period for one run, refused with
-    :class:`SimulationError` when the drive would exceed
-    ``MAX_DRIVE_SAMPLES``."""
+) -> np.ndarray:
+    """RK4 steps per stimulus period at each ``frequency`` (a scalar or an
+    ascending array; the result is always 1-D), refused with
+    :class:`SimulationError` at the first frequency whose drive would exceed
+    ``MAX_DRIVE_SAMPLES``.  The step count never grows with the frequency,
+    so refused points lead the plan."""
+    frequency = np.atleast_1d(np.asarray(frequency, dtype=float))
     period = 1.0 / frequency
-    n = cfg.steps_per_period
+    n = np.full_like(period, cfg.steps_per_period)
     if cfg.steps_per_tau > 0:
         tau_cap = 1.0 / _loop_rate(dev, topo)
         if repeater_dev is not None:
             # repeater integrates at half step, so it tolerates 2x its tau
             tau_cap = min(tau_cap, 2.0 / _loop_rate(repeater_dev, Topology.repeater()))
-        n = max(n, math.ceil(cfg.steps_per_tau * period / tau_cap))
-    samples = (4 if repeater_dev is not None else 2) * n + 1
-    if samples > MAX_DRIVE_SAMPLES:
+        n = np.maximum(n, np.ceil(cfg.steps_per_tau * period / tau_cap))
+    samples_per_step = 4 if repeater_dev is not None else 2
+    # compared as float steps, so a plan too large for an integer is refused too
+    over = np.flatnonzero(n > (MAX_DRIVE_SAMPLES - 1) / samples_per_step)
+    if over.size:
+        k = over[0]
+        steps = int(n[k])
         raise SimulationError(
-            f"at {frequency:.6g} Hz one stimulus period needs {n} RK4 steps, a "
-            f"{samples}-sample drive; the per-point limit is {MAX_DRIVE_SAMPLES} "
-            "samples (raise the lowest sweep frequency)",
+            f"at {frequency[k]:.6g} Hz one stimulus period needs {steps} RK4 steps, a "
+            f"{samples_per_step * steps + 1}-sample drive; the per-point limit is "
+            f"{MAX_DRIVE_SAMPLES} samples (raise the lowest sweep frequency)",
             step_index=0,
-            frequency=frequency,
+            frequency=float(frequency[k]),
         )
-    return n
+    return n.astype(np.int64)
 
 
 def _sine_period(amplitude: float, frequency: float, dt: float, n_samples: int) -> np.ndarray:
@@ -291,7 +344,7 @@ def simulate_steady_state(
     device, and its own one-period orbit is the amplifier's periodic drive.
     """
     cfg = cfg or SimConfig()
-    n = _plan_window(dev, topo, stim.frequency, cfg, repeater_dev)
+    n = int(_plan_window(dev, topo, stim.frequency, cfg, repeater_dev)[0])
     h = 1.0 / (stim.frequency * n)
 
     try:
@@ -300,12 +353,14 @@ def simulate_steady_state(
         else:
             # unity-gain source follower integrated at half step; its states
             # land exactly on the amplifier's half grid
+            a_rep = -_loop_rate(repeater_dev, Topology.repeater())
+            rep_step = _stable_affine(a_rep, h / 2.0, stim.frequency)
             raw = _sine_period(stim.amplitude, stim.frequency, h / 4.0, 4 * n + 1)
             raw /= repeater_dev.tau0
-            a_rep = -_loop_rate(repeater_dev, Topology.repeater())
-            drive = _integrate_linear(a_rep, raw, h / 2.0)
+            drive = _integrate_linear(rep_step, raw, h / 2.0)
+        amp_step = _stable_affine(-_loop_rate(dev, topo), h, stim.frequency)
         drive *= topo.divider_ratio / dev.tau0
-        u = _integrate_linear(-_loop_rate(dev, topo), drive, h)
+        u = _integrate_linear(amp_step, drive, h)
     except SimulationError as err:
         raise SimulationError(str(err), err.step_index, frequency=stim.frequency) from None
     return TimeSeries(dt=h, samples=u)
@@ -349,7 +404,9 @@ def add_gain_noise(
     Point ``k``'s draw comes from its own generator seeded with
     ``(*seed, k)`` (``(seed, k)`` for an integer seed), never from a shared
     stream, so the result is reproducible bit-for-bit and independent of
-    evaluation order.  A noiseless model returns ``record`` itself.
+    evaluation order.  A noiseless model returns ``record`` itself.  A
+    draw that leaves a gain non-positive (possible only for a large
+    ``sigma_rel``) raises :class:`SimulationError` naming its frequency.
     """
     if noise.sigma_rel == 0.0:
         return record
@@ -358,6 +415,16 @@ def add_gain_noise(
     for k in range(gains.size):
         rng = np.random.default_rng([*seed_words, k])
         gains[k] *= 1.0 + noise.sigma_rel * rng.standard_normal()
+    non_positive = np.flatnonzero(gains <= 0.0)
+    if non_positive.size:
+        k = non_positive[0]
+        frequency = float(record.frequency_hz[k])
+        raise SimulationError(
+            f"gain noise (sigma_rel {noise.sigma_rel!r}) made the gain at "
+            f"{frequency:.6g} Hz non-positive ({gains[k]:.6g})",
+            step_index=0,
+            frequency=frequency,
+        )
     return replace(record, gain=gains)
 
 
@@ -372,11 +439,13 @@ def run_sweep(
 ) -> SweepRecord:
     """Simulate a frequency sweep and record end-to-end gain at each point.
 
-    At every planned frequency one period of the steady-state output is
-    simulated and lock-in demodulated, and the recorded gain is its
-    amplitude over the stimulus amplitude (the lock-in of a sampled pure
-    sine over a whole period is its amplitude to rounding, so no reference
-    trace is demodulated).  The noiseless record is then passed through
+    The recorded gain at every planned frequency is the amplitude of the
+    periodic RK4 orbit over the stimulus amplitude, computed in closed form
+    from the step map (see the module docstring): it equals
+    ``lockin_demodulate(simulate_steady_state(...), f)`` for a unit stimulus
+    to rounding, with the same step planning and the same
+    :class:`SimulationError` for the first refused point, but integrates no
+    trace.  The noiseless record is then passed through
     :func:`add_gain_noise` with ``noise`` and ``seed``, so
     ``run_sweep(..., noise, seed=s)`` equals
     ``add_gain_noise(run_sweep(..., noise=None), noise, s)`` bit-for-bit and
@@ -386,11 +455,13 @@ def run_sweep(
     cfg = cfg or SimConfig()
 
     freqs = plan.frequencies()
-    gains = np.empty(freqs.size)
-    for k, f in enumerate(freqs):
-        stim = Stimulus(amplitude=1.0, frequency=float(f))
-        out = simulate_steady_state(dev, topo, stim, cfg, repeater_dev=repeater_dev)
-        gains[k] = lockin_demodulate(out, float(f)) / stim.amplitude
+    h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg, repeater_dev))
+    scale = topo.divider_ratio / dev.tau0
+    if repeater_dev is not None:
+        # the repeater's orbit at half step is the amplifier's drive
+        a_rep = -_loop_rate(repeater_dev, Topology.repeater())
+        scale = scale * np.abs(_orbit_response(a_rep, h / 2.0, freqs)) / repeater_dev.tau0
+    gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * scale
     record = SweepRecord(
         frequency_hz=freqs,
         gain=gains,

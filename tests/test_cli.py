@@ -111,6 +111,14 @@ class TestSynth:
         assert "at 23 Hz" in result.stderr and f"{samples}-sample" in result.stderr
         assert not out.exists()
 
+    def test_non_positive_noisy_gain_is_numeric_error(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["synth", str(out), "--points", "16", "--noise", "10"])
+        assert result.exit_code == 4
+        assert result.stderr.startswith("error: gain noise (sigma_rel 10.0) made the gain at ")
+        assert "non-positive" in result.stderr and "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestFit:
     def test_round_trip_report(self, runner, tmp_path):
@@ -360,6 +368,30 @@ class TestMc:
         assert result.exit_code == 4
         assert result.stderr.startswith("error: trial 2: sweep does not resolve roll-off")
         assert not out.exists()
+
+    def test_non_positive_noisy_gain_names_its_trial(self, runner, tmp_path):
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--trials", "3", "--points", "16", "--noise", "10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert result.stderr.startswith("error: trial 0: gain noise (sigma_rel 10.0) made ")
+        assert "non-positive" in result.stderr
+        assert not out.exists()
+
+    def test_calibration_warnings_name_their_trial(self, runner, tmp_path):
+        # trial 0 of seed 0 fits an intercept far from the topology's value;
+        # trial 2 then fails to resolve the roll-off
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--trials", "5", "--points", "3", "--fmax", "1.01e4",
+                "--noise", "1e-3", "--seed", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("warning: trial 0: fitted intercept deviates")
+        assert lines[-1].startswith("error: trial 2: ")
+        assert all(line.startswith(("warning: trial ", "error: ")) for line in lines)
+        assert "CalibrationWarning:" not in result.stderr
+        assert ".py:" not in result.stderr
 
     def test_too_many_points_refused_before_simulating(self, runner, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):

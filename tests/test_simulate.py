@@ -26,6 +26,7 @@ from opampfit import (
     run_sweep,
     simulate_steady_state,
 )
+from opampfit import simulate
 from opampfit.simulate import MAX_SWEEP_POINTS
 
 TWO_PI = 2.0 * math.pi
@@ -402,6 +403,14 @@ class TestAddGainNoise:
         add_gain_noise(clean, NoiseModel(0.03), 1)
         assert np.array_equal(clean.gain, before)
 
+    def test_non_positive_gain_is_refused(self):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 16))
+        noisy = noise_oracle(clean, 10.0, (0,))
+        first = int(np.flatnonzero(noisy <= 0.0)[0])
+        with pytest.raises(SimulationError, match="non-positive") as excinfo:
+            add_gain_noise(clean, NoiseModel(10.0), 0)
+        assert excinfo.value.frequency == clean.frequency_hz[first]
+
     @settings(max_examples=15, deadline=None)
     @given(
         n_points=st.integers(min_value=3, max_value=8),
@@ -414,3 +423,116 @@ class TestAddGainNoise:
         for trial in range(5):
             in_order = add_gain_noise(clean, noise, (9, trial)).gain
             assert np.array_equal(shuffled[trial], in_order)
+
+
+def trace_sweep(dev, topo, plan, cfg=None, repeater_dev=None):
+    """Sweep gains read off the time-domain trace API, point by point."""
+    gains = []
+    for f in plan.frequencies():
+        out = simulate_steady_state(dev, topo, Stimulus(1.0, float(f)), cfg, repeater_dev)
+        gains.append(lockin_demodulate(out, float(f)))
+    return np.array(gains)
+
+
+def assert_same_sweep_error(dev, topo, plan, cfg=None, repeater_dev=None):
+    """run_sweep refuses ``plan`` with the error of its first failing point."""
+    with pytest.raises(SimulationError) as expected:
+        trace_sweep(dev, topo, plan, cfg, repeater_dev)
+    with pytest.raises(SimulationError) as got:
+        run_sweep(dev, topo, plan, cfg=cfg, repeater_dev=repeater_dev)
+    assert str(got.value) == str(expected.value)
+    assert got.value.frequency == expected.value.frequency
+    assert got.value.step_index == expected.value.step_index
+
+
+class TestSweepMatchesTrace:
+    @pytest.mark.parametrize(
+        "f0, topo, plan, rep_f0",
+        [
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(), None),
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(1e4, 1e6, 512), None),
+            (39.6e6, Topology(feedback_r=1989.0, gain_r=20.1),
+             SweepPlan(1e3, 1e7, 64, spacing="log"), None),
+            (5e6, Topology(feedback_r=100.0, gain_r=10.0), SweepPlan(1e5, 1.2e5, 3), 5e7),
+        ],
+        ids=["default", "criterion-3", "log", "repeater"],
+    )
+    def test_every_point_equals_the_trace_lockin(self, f0, topo, plan, rep_f0):
+        dev = DeviceParams(f0=f0)
+        rep = None if rep_f0 is None else DeviceParams(f0=rep_f0)
+        record = run_sweep(dev, topo, plan, repeater_dev=rep)
+        np.testing.assert_array_equal(record.frequency_hz, plan.frequencies())
+        np.testing.assert_allclose(
+            record.gain, trace_sweep(dev, topo, plan, repeater_dev=rep), rtol=1e-12, atol=0.0
+        )
+
+    @settings(max_examples=25)
+    @given(
+        f0=st.floats(1e5, 1e9),
+        g0=st.one_of(st.just(math.inf), st.floats(1e3, 1e7)),
+        feedback_r=st.floats(0.0, 1e4),
+        gain_r=st.floats(1.0, 1e3),
+        divider=st.one_of(st.none(), st.tuples(st.floats(1.0, 1e4), st.floats(1.0, 1e4))),
+        # log10 of the lowest sweep frequency over the fastest loop's corner
+        corner_exp=st.floats(-2.0, 1.0),
+        span=st.floats(1e-3, 10.0),
+        n_points=st.integers(3, 5),
+        spacing=st.sampled_from(["linear", "log"]),
+        steps_per_period=st.integers(64, 512),
+        steps_per_tau=st.integers(0, 32),
+        rep_ratio=st.one_of(st.none(), st.floats(0.5, 10.0)),
+    )
+    def test_sweep_equals_trace_property(
+        self, f0, g0, feedback_r, gain_r, divider, corner_exp, span, n_points, spacing,
+        steps_per_period, steps_per_tau, rep_ratio,
+    ):
+        dev = DeviceParams(f0=f0, g0=g0)
+        topo = Topology(feedback_r=feedback_r, gain_r=gain_r, divider=divider)
+        rep = None if rep_ratio is None else DeviceParams(f0=rep_ratio * f0)
+        # tying the plan to the fastest corner keeps each trace under ~2e4
+        # steps; over millions of steps the trace's own rounding drifts by
+        # ~1e-12 (against a 40-digit evaluation of the same step map, which
+        # the closed form matches to ~3e-16)
+        corner = f0 * (topo.beta + dev.inv_g0)
+        if rep is not None:
+            corner = max(corner, rep.f0)
+        f_min = 10.0**corner_exp * corner
+        plan = SweepPlan(f_min, f_min * (1.0 + span), n_points, spacing)
+        cfg = SimConfig(steps_per_period=steps_per_period, steps_per_tau=steps_per_tau)
+        try:
+            expected = trace_sweep(dev, topo, plan, cfg, rep)
+        except SimulationError:
+            assert_same_sweep_error(dev, topo, plan, cfg, rep)
+            return
+        record = run_sweep(dev, topo, plan, cfg=cfg, repeater_dev=rep)
+        np.testing.assert_allclose(record.gain, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("failure", ["drive cap", "amplifier step", "repeater step"])
+    def test_error_parity(self, failure):
+        topo = Topology(feedback_r=100.0, gain_r=1.0)
+        plan = SweepPlan(1e4, 2e4, 3)
+        if failure == "drive cap":
+            # 23 Hz needs just over MAX_DRIVE_SAMPLES on the default loop
+            dev, cfg, rep = DeviceParams(f0=97.73e6), None, None
+            plan = SweepPlan(23.0, 1e5, 3)
+        elif failure == "amplifier step":
+            dev, cfg, rep = DeviceParams(f0=1e8), SimConfig(64, 0), None
+        else:
+            # both stages are unstable; the repeater's step is checked first
+            dev, cfg, rep = DeviceParams(f0=1e8), SimConfig(64, 0), DeviceParams(f0=1e9)
+        assert_same_sweep_error(dev, topo, plan, cfg, rep)
+
+    def test_sweep_cost_does_not_depend_on_steps(self, monkeypatch):
+        # the largest plan completes without integrating or allocating a
+        # trace for any point, so a sweep's work scales with its points only
+        def no_trace(*args, **kwargs):
+            raise AssertionError("run_sweep integrated a time-domain trace")
+
+        monkeypatch.setattr(simulate, "simulate_steady_state", no_trace)
+        monkeypatch.setattr(simulate, "lfilter", no_trace)
+        dev = DeviceParams(f0=97.73e6)
+        topo = Topology(feedback_r=100.0, gain_r=1.0)
+        record = run_sweep(dev, topo, SweepPlan(1e3, 1e6, MAX_SWEEP_POINTS, spacing="log"))
+        assert record.n_points == MAX_SWEEP_POINTS
+        f = float(record.frequency_hz[-1])
+        assert record.gain[-1] == pytest.approx(abs(closed_loop_gain(dev, topo, f)), rel=1e-6)
