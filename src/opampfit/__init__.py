@@ -7,7 +7,6 @@ normality analysis of many measured devices.
 
 from .base import NotFittedError
 from .circuit import (
-    ComplexGain,
     DeviceParams,
     Topology,
     closed_loop_gain,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchDistribution",
     "CalibrationWarning",
-    "ComplexGain",
     "CrossoverFrequencyFit",
     "DeviceParams",
     "FitError",

@@ -147,30 +147,7 @@ class Topology:
         return r2 / (r1 + r2)
 
 
-@dataclass(frozen=True)
-class ComplexGain:
-    """Complex amplification value; only the magnitude crosses module
-    boundaries, so the phase sign convention never leaks."""
-
-    re: float
-    im: float
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    @property
-    def magnitude_squared(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return self.magnitude
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> ComplexGain:
+def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> complex:
     """Complex closed-loop amplification at frequency ``f`` (Hz).
 
     Returns ``1/(beta + 1/g0 + j*2*pi*f*tau0)``; at ``f = 0`` the result is
@@ -178,11 +155,7 @@ def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> ComplexGain
     """
     if f < 0.0:
         raise ValueError(f"frequency must be >= 0, got {f!r}")
-    a = topo.beta + dev.inv_g0
-    if f == 0.0:
-        return ComplexGain(1.0 / a, 0.0)
-    g = 1.0 / complex(a, TWO_PI * f * dev.tau0)
-    return ComplexGain(g.real, g.imag)
+    return 1.0 / complex(topo.beta + dev.inv_g0, TWO_PI * f * dev.tau0)
 
 
 def inverse_gain_squared(

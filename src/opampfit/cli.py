@@ -13,19 +13,15 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
+from .circuit import Topology
 from .distribution import analyze_batch, batch_stats, normal_reference_cdf
-from .extraction import (
-    CalibrationWarning,
-    FitError,
-    QuickCrossoverFit,
-    SweepRangeError,
-    fit_f0,
-)
+from .extraction import CalibrationWarning, FitError, QuickCrossoverFit, fit_f0
 from .fileio import (
     ParseError,
     RunConfig,
@@ -79,6 +75,42 @@ def _apply_overrides(cfg: RunConfig, seed, noise, points, fmin, fmax, spacing, b
     return cfg
 
 
+def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
+    """'# key = value' header lines recording the run configuration, enough
+    to run ``command`` again."""
+    meta = {
+        "generator": f"opampfit {command}",
+        "seed": cfg.seed,
+        **extra,
+        "truth_f0_hz": repr(cfg.f0_hz),
+        "sigma_rel": repr(cfg.sigma_rel),
+        "g0": repr(cfg.g0),
+        "feedback_r_ohm": repr(cfg.feedback_r_ohm),
+        "gain_r_ohm": repr(cfg.gain_r_ohm),
+        "n_points": repr(cfg.n_points),
+        "f_min_hz": repr(cfg.f_min_hz),
+        "f_max_hz": repr(cfg.f_max_hz),
+        "spacing": cfg.spacing,
+        "steps_per_period": repr(cfg.steps_per_period),
+        "steps_per_tau": repr(cfg.steps_per_tau),
+    }
+    if cfg.divider_r1_ohm is not None:
+        meta["divider_r1_ohm"] = repr(cfg.divider_r1_ohm)
+        meta["divider_r2_ohm"] = repr(cfg.divider_r2_ohm)
+    return format_metadata(meta)
+
+
+def _check_topology_flags(big_r, small_r) -> None:
+    """--R and --r must come as a pair that makes a valid Topology."""
+    if (big_r is None) != (small_r is None):
+        raise click.UsageError("give both --R and --r or neither")
+    if big_r is not None:
+        try:
+            Topology(feedback_r=big_r, gain_r=small_r)
+        except ValueError as err:
+            raise click.BadParameter(str(err), param_hint="'--R' / '--r'") from None
+
+
 def _config_options(command):
     options = [
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -122,20 +154,10 @@ def synth(output, config_path, seed, noise, points, fmin, fmax, spacing, big_r, 
         )
     except SimulationError as err:
         _fail(EXIT_NUMERIC, str(err))
-    meta = {
-        "generator": "opampfit synth",
-        "seed": cfg.seed,
-        "truth_f0_hz": repr(cfg.f0_hz),
-        "g0": repr(cfg.g0),
-        "feedback_r_ohm": repr(cfg.feedback_r_ohm),
-        "gain_r_ohm": repr(cfg.gain_r_ohm),
-        "sigma_rel": repr(cfg.sigma_rel),
-        "spacing": cfg.spacing,
-    }
-    if cfg.divider_r1_ohm is not None:
-        meta["divider_r1_ohm"] = repr(cfg.divider_r1_ohm)
-        meta["divider_r2_ohm"] = repr(cfg.divider_r2_ohm)
-    write_sweep_file(output, record, format_metadata(meta))
+    try:
+        write_sweep_file(output, record, _provenance("synth", cfg))
+    except OSError as err:
+        _fail(EXIT_PARSE, str(err))
     click.echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
                f"truth f0 = {cfg.f0_hz!r} Hz")
 
@@ -180,17 +202,13 @@ def _write_plot_data(directory, record, result):
               help="Directory for transformed-points and fitted-line CSVs.")
 def fit(sweep_path, big_r, small_r, weighted, plot_dir):
     """Fit the crossover frequency of a sweep file by linear regression."""
+    _check_topology_flags(big_r, small_r)
     try:
         record, _ = read_sweep_file(sweep_path)
     except ParseError as err:
         _fail(EXIT_PARSE, str(err))
-    if big_r is not None or small_r is not None:
-        if big_r is None or small_r is None:
-            raise click.UsageError("give both --R and --r or neither")
-        record = type(record)(
-            frequency_hz=record.frequency_hz, gain=record.gain,
-            feedback_r=big_r, gain_r=small_r, label=record.label,
-        )
+    if big_r is not None:
+        record = replace(record, feedback_r=big_r, gain_r=small_r)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", CalibrationWarning)
@@ -216,8 +234,7 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
     """Quick crossover frequency from the n-fold gain-drop point."""
     if not ratio > 1.0:
         raise click.BadParameter("must exceed 1", param_hint="--n")
-    if (big_r is None) != (small_r is None):
-        raise click.UsageError("give both --R and --r or neither")
+    _check_topology_flags(big_r, small_r)
     try:
         record, _ = read_sweep_file(sweep_path)
     except ParseError as err:
@@ -225,9 +242,7 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
     est = QuickCrossoverFit(n=ratio, feedback_r=big_r, gain_r=small_r, baseline=baseline)
     try:
         est.fit(record.frequency_hz, record.gain)
-    except SweepRangeError as err:
-        _fail(EXIT_NUMERIC, f"{err} -- largest attainable n is {err.max_attainable_n:.4g}")
-    except (FitError, ValueError) as err:
+    except FitError as err:
         _fail(EXIT_NUMERIC, str(err))
     click.echo(f"f0_hz = {est.f0_hz_:.6g}")
     click.echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
@@ -247,9 +262,10 @@ def batch(batch_path, plot_dir):
         ids, values, _ = read_batch_file(batch_path)
     except ParseError as err:
         _fail(EXIT_PARSE, str(err))
-    if len(values) < 2:
-        _fail(EXIT_NUMERIC, f"need at least 2 samples, got {len(values)}")
-    mean, stddev = batch_stats(values)
+    try:
+        mean, stddev = batch_stats(values)
+    except ValueError as err:
+        _fail(EXIT_NUMERIC, str(err))
     click.echo(f"n = {len(values)}")
     click.echo(f"mean_hz = {mean:.6g}")
     click.echo(f"mean_mhz = {mean / 1e6:.6g}")
@@ -319,26 +335,10 @@ def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, f
     except (SimulationError, FitError) as err:
         _fail(EXIT_NUMERIC, f"trial {trial}: {err}")
     ids = [str(trial + 1) for trial in range(trials)]
-    meta = {
-        "generator": "opampfit mc",
-        "seed": cfg.seed,
-        "trials": trials,
-        "truth_f0_hz": repr(cfg.f0_hz),
-        "sigma_rel": repr(cfg.sigma_rel),
-        "g0": repr(cfg.g0),
-        "feedback_r_ohm": repr(cfg.feedback_r_ohm),
-        "gain_r_ohm": repr(cfg.gain_r_ohm),
-        "n_points": repr(cfg.n_points),
-        "f_min_hz": repr(cfg.f_min_hz),
-        "f_max_hz": repr(cfg.f_max_hz),
-        "spacing": cfg.spacing,
-        "steps_per_period": repr(cfg.steps_per_period),
-        "steps_per_tau": repr(cfg.steps_per_tau),
-    }
-    if cfg.divider_r1_ohm is not None:
-        meta["divider_r1_ohm"] = repr(cfg.divider_r1_ohm)
-        meta["divider_r2_ohm"] = repr(cfg.divider_r2_ohm)
-    write_batch_file(output, ids, f0_values, format_metadata(meta))
+    try:
+        write_batch_file(output, ids, f0_values, _provenance("mc", cfg, trials=trials))
+    except OSError as err:
+        _fail(EXIT_PARSE, str(err))
     click.echo(f"trials = {trials}")
     if trials >= 2:
         mean, spread = batch_stats(f0_values)

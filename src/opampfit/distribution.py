@@ -24,10 +24,31 @@ def normal_reference_cdf(x) -> np.ndarray:
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / SQRT2))
 
 
+def _moments(samples) -> tuple[np.ndarray, float, float]:
+    """A batch as a validated float array with its mean and N-1 standard
+    deviation; ValueError when either overflows."""
+    arr = as_float_array(samples, "samples", min_len=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stddev = float(arr.mean()), float(arr.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise ValueError(f"batch mean ({mean!r}) or standard deviation ({stddev!r}) overflows")
+    return arr, mean, stddev
+
+
 def batch_stats(samples) -> tuple[float, float]:
     """Mean and N-1 standard deviation of a batch (needs n >= 2)."""
-    arr = as_float_array(samples, "samples", min_len=2)
-    return float(arr.mean()), float(arr.std(ddof=1))
+    _, mean, stddev = _moments(samples)
+    return mean, stddev
+
+
+def _standardised_ecdf(arr: np.ndarray, mean: float, stddev: float):
+    """:func:`empirical_cdf` of a batch whose moments are already known."""
+    if stddev == 0.0:
+        raise ValueError("batch standard deviation is zero; ECDF abscissa is undefined")
+    x = (np.sort(arr, kind="stable") - mean) / stddev
+    n = arr.size
+    p = np.arange(1, n + 1) / n
+    return x, p
 
 
 def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -39,14 +60,7 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     ``i = 1..N``.  Ties appear as consecutive equal abscissae.  A batch with
     zero spread has no standardised axis and is rejected.
     """
-    arr = as_float_array(samples, "samples", min_len=2)
-    mean, stddev = batch_stats(arr)
-    if stddev == 0.0:
-        raise ValueError("batch standard deviation is zero; ECDF abscissa is undefined")
-    x = (np.sort(arr, kind="stable") - mean) / stddev
-    n = arr.size
-    p = np.arange(1, n + 1) / n
-    return x, p
+    return _standardised_ecdf(*_moments(samples))
 
 
 @dataclass(frozen=True)
@@ -73,8 +87,12 @@ def normal_cdf_fit(ecdf_x, ecdf_p) -> NormalCdfFitStats:
         raise ValueError(f"ecdf_x and ecdf_p must have equal length, got {x.size} and {p.size}")
     if np.any(np.diff(p) <= 0.0) or p[-1] > 1.0 or p[0] <= 0.0:
         raise ValueError("ecdf_p must increase strictly from 1/N to 1")
+    return _cdf_agreement(x, p)
+
+
+def _cdf_agreement(x: np.ndarray, p: np.ndarray) -> NormalCdfFitStats:
+    """:func:`normal_cdf_fit` of an ECDF already known to be well formed."""
     phi = normal_reference_cdf(x)
-    n = p.size
     step = p[0]  # = 1/N for an i/N staircase
     d_upper = np.abs(p - phi)
     d_lower = np.abs((p - step) - phi)
@@ -120,16 +138,12 @@ class NormalityFit(ParamsMixin):
     """
 
     def fit(self, samples) -> "NormalityFit":
-        arr = as_float_array(samples, "samples", min_len=2)
-        self.mean_, self.stddev_ = batch_stats(arr)
-        self.n_ = int(arr.size)
-        x, p = empirical_cdf(arr)
-        stats = normal_cdf_fit(x, p)
-        self.ecdf_x_ = x
-        self.ecdf_p_ = p
-        self.kolmogorov_d_ = stats.kolmogorov_d
-        self.kolmogorov_d_onesided_ = stats.kolmogorov_d_onesided
-        self.cdf_corr_ = stats.cdf_corr
+        dist = analyze_batch(samples)
+        self.n_, self.mean_, self.stddev_ = dist.n, dist.mean_hz, dist.stddev_hz
+        self.ecdf_x_, self.ecdf_p_ = dist.ecdf_x, dist.ecdf_p
+        self.kolmogorov_d_ = dist.kolmogorov_d
+        self.kolmogorov_d_onesided_ = dist.kolmogorov_d_onesided
+        self.cdf_corr_ = dist.cdf_corr
         return self
 
     def reference_cdf(self, x) -> np.ndarray:
@@ -140,19 +154,20 @@ class NormalityFit(ParamsMixin):
 
 def analyze_batch(samples, ids: tuple[str, ...] | None = None) -> BatchDistribution:
     """One-call batch analysis returning a :class:`BatchDistribution`."""
-    arr = as_float_array(samples, "samples", min_len=2)
+    arr, mean, stddev = _moments(samples)
     if ids is not None and len(ids) != arr.size:
         raise ValueError(f"got {len(ids)} ids for {arr.size} samples")
-    est = NormalityFit().fit(arr)
+    x, p = _standardised_ecdf(arr, mean, stddev)
+    stats = _cdf_agreement(x, p)
     return BatchDistribution(
         samples_hz=arr,
-        n=est.n_,
-        mean_hz=est.mean_,
-        stddev_hz=est.stddev_,
-        ecdf_x=est.ecdf_x_,
-        ecdf_p=est.ecdf_p_,
-        kolmogorov_d=est.kolmogorov_d_,
-        kolmogorov_d_onesided=est.kolmogorov_d_onesided_,
-        cdf_corr=est.cdf_corr_,
+        n=int(arr.size),
+        mean_hz=mean,
+        stddev_hz=stddev,
+        ecdf_x=x,
+        ecdf_p=p,
+        kolmogorov_d=stats.kolmogorov_d,
+        kolmogorov_d_onesided=stats.kolmogorov_d_onesided,
+        cdf_corr=stats.cdf_corr,
         ids=tuple(ids) if ids is not None else None,
     )

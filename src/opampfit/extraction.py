@@ -43,6 +43,31 @@ def _ideal_intercept(feedback_r: float | None, gain_r: float | None) -> float | 
     return beta * beta
 
 
+def _sweep_arrays(frequency_hz, gain) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and gains of a sweep as 1-D arrays of finite floats of
+    equal length, at least 3 points, all positive; ValueError otherwise."""
+    f = as_float_array(frequency_hz, "frequency_hz", min_len=3)
+    y = as_float_array(gain, "gain", min_len=3)
+    if f.size != y.size:
+        raise ValueError(
+            f"frequency_hz and gain must have equal length, got {f.size} and {y.size}"
+        )
+    if np.any(f <= 0.0) or np.any(y <= 0.0):
+        raise ValueError("frequencies and gains must be positive")
+    return f, y
+
+
+def _roll_off_plane(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep as ``(u, v) = (f^2, 1/gain^2)``, where the model is a
+    line; FitError when a coordinate leaves the floating-point range."""
+    with np.errstate(over="ignore", divide="ignore"):
+        u = f * f
+        v = 1.0 / (y * y)
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and v.all()):
+        raise FitError("sweep is out of floating-point range in the (f^2, 1/gain^2) plane")
+    return u, v
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """Ordered (frequency, gain magnitude) samples of one sweep, real or
@@ -55,16 +80,10 @@ class SweepRecord:
     label: str | None = None
 
     def __post_init__(self):
-        f = as_float_array(self.frequency_hz, "frequency_hz", min_len=3).copy()
-        y = as_float_array(self.gain, "gain", min_len=3).copy()
-        if f.size != y.size:
-            raise ValueError(
-                f"frequency_hz and gain must have equal length, got {f.size} and {y.size}"
-            )
-        if f[0] <= 0.0 or np.any(np.diff(f) <= 0.0):
-            raise ValueError("frequencies must be positive and strictly increasing")
-        if np.any(y <= 0.0):
-            raise ValueError("gains must be positive")
+        f, y = _sweep_arrays(self.frequency_hz, self.gain)
+        if np.any(np.diff(f) <= 0.0):
+            raise ValueError("frequencies must be strictly increasing")
+        f, y = f.copy(), y.copy()
         f.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "frequency_hz", f)
@@ -134,20 +153,8 @@ class CrossoverFrequencyFit(ParamsMixin):
         self.weighted = weighted
 
     def fit(self, frequency_hz, gain) -> "CrossoverFrequencyFit":
-        f = as_float_array(frequency_hz, "frequency_hz", min_len=3)
-        y = as_float_array(gain, "gain", min_len=3)
-        if f.size != y.size:
-            raise ValueError(
-                f"frequency_hz and gain must have equal length, got {f.size} and {y.size}"
-            )
-        if np.any(f <= 0.0) or np.any(y <= 0.0):
-            raise ValueError("frequencies and gains must be positive")
-
-        u = f * f
-        v = 1.0 / (y * y)
-        if not np.isfinite(v).all():
-            raise ValueError("transformed ordinates 1/gain^2 must be finite")
-
+        f, y = _sweep_arrays(frequency_hz, gain)
+        u, v = _roll_off_plane(f, y)
         w = 1.0 / (v * v) if self.weighted else np.ones_like(v)
         w_sum = w.sum()
         u_bar = (w * u).sum() / w_sum
@@ -251,14 +258,8 @@ class QuickCrossoverFit(ParamsMixin):
             raise ValueError(f"gain ratio n must exceed 1, got {self.n!r}")
         if self.baseline not in ("first", "low_decile"):
             raise ValueError(f"baseline must be 'first' or 'low_decile', got {self.baseline!r}")
-        f = as_float_array(frequency_hz, "frequency_hz", min_len=3)
-        y = as_float_array(gain, "gain", min_len=3)
-        if f.size != y.size:
-            raise ValueError(
-                f"frequency_hz and gain must have equal length, got {f.size} and {y.size}"
-            )
-        if np.any(f <= 0.0) or np.any(y <= 0.0):
-            raise ValueError("frequencies and gains must be positive")
+        f, y = _sweep_arrays(frequency_hz, gain)
+        u, v = _roll_off_plane(f, y)
 
         if self.baseline == "first":
             y0 = float(y[0])
@@ -266,9 +267,10 @@ class QuickCrossoverFit(ParamsMixin):
             head = max(1, math.ceil(f.size / 10))
             y0 = float(y[:head].mean())
 
-        u = f * f
-        v = 1.0 / (y * y)
-        v_target = (self.n / y0) ** 2
+        try:
+            v_target = (self.n / y0) ** 2
+        except OverflowError:  # beyond every finite 1/gain^2: the sweep is too narrow
+            v_target = math.inf
         if v[0] >= v_target:
             raise FitError(
                 "first sweep point is not in the flat region: "

@@ -46,57 +46,77 @@ def _parse_float(token: str, path, line_no: int, column: str) -> float:
     return value
 
 
+def _data_rows(path: Path, headers: tuple[str, ...], comments: list[str]):
+    """Yield ``(line_no, fields)`` for each data row of the UTF-8 CSV at
+    ``path``.
+
+    Lines starting with ``#`` are appended to ``comments`` verbatim and blank
+    lines are skipped; the first other line must be one of ``headers``, and
+    every later one must have as many comma-separated fields as it.  Any
+    departure, including bytes that are not UTF-8, raises ParseError.
+    """
+    header = None
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                # a line holds no CR or LF but its one terminator
+                line = raw.rstrip("\r\n")
+                if line.startswith("#"):
+                    comments.append(line)
+                    continue
+                if not line or line.isspace():
+                    continue
+                if header is None:
+                    if line not in headers:
+                        expected = " or ".join(repr(h) for h in headers)
+                        raise ParseError(
+                            path, line_no, f"expected header {expected}, got {line!r}"
+                        )
+                    header = line
+                    n_fields = header.count(",") + 1
+                    continue
+                fields = line.split(",")
+                if len(fields) != n_fields:
+                    raise ParseError(
+                        path, line_no, f"expected {n_fields} columns, got {len(fields)}"
+                    )
+                yield line_no, fields
+    except UnicodeDecodeError as err:
+        raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
+    if header is None:
+        raise ParseError(path, None, "no header line found")
+
+
 def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:
     """Parse a sweep CSV; returns the record and its comment lines."""
     path = Path(path)
     comments: list[str] = []
-    header = None
     freqs: list[float] = []
     gains: list[float] = []
     prev_f = 0.0
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            if not line.strip():
-                continue
-            if header is None:
-                if line not in (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR):
-                    raise ParseError(
-                        path, line_no,
-                        f"expected header {SWEEP_HEADER_GAIN!r} or {SWEEP_HEADER_PAIR!r}, "
-                        f"got {line!r}",
-                    )
-                header = line
-                continue
-            parts = line.split(",")
-            expected = 2 if header == SWEEP_HEADER_GAIN else 3
-            if len(parts) != expected:
-                raise ParseError(path, line_no, f"expected {expected} columns, got {len(parts)}")
-            f = _parse_float(parts[0], path, line_no, "frequency_hz")
-            if f <= prev_f:
-                raise ParseError(
-                    path, line_no,
-                    f"frequencies must be strictly increasing and positive "
-                    f"({f!r} after {prev_f!r})",
-                )
-            prev_f = f
-            if header == SWEEP_HEADER_GAIN:
-                gain = _parse_float(parts[1], path, line_no, "gain")
-            else:
-                u_in = _parse_float(parts[1], path, line_no, "u_in_v")
-                u_out = _parse_float(parts[2], path, line_no, "u_out_v")
-                if u_in == 0.0:
-                    raise ParseError(path, line_no, "u_in_v must be nonzero")
-                gain = u_out / u_in
-            if gain <= 0.0:
-                raise ParseError(path, line_no, f"gain must be positive, got {gain!r}")
-            freqs.append(f)
-            gains.append(gain)
-    if header is None:
-        raise ParseError(path, None, "no header line found")
+    for line_no, fields in _data_rows(path, (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR), comments):
+        f = _parse_float(fields[0], path, line_no, "frequency_hz")
+        if f <= prev_f:
+            raise ParseError(
+                path, line_no,
+                f"frequencies must be strictly increasing and positive "
+                f"({f!r} after {prev_f!r})",
+            )
+        prev_f = f
+        if len(fields) == 2:
+            gain = _parse_float(fields[1], path, line_no, "gain")
+        else:
+            u_in = _parse_float(fields[1], path, line_no, "u_in_v")
+            u_out = _parse_float(fields[2], path, line_no, "u_out_v")
+            if u_in == 0.0:
+                raise ParseError(path, line_no, "u_in_v must be nonzero")
+            gain = u_out / u_in
+            if not math.isfinite(gain):
+                raise ParseError(path, line_no, f"gain u_out_v/u_in_v overflows ({gain!r})")
+        if gain <= 0.0:
+            raise ParseError(path, line_no, f"gain must be positive, got {gain!r}")
+        freqs.append(f)
+        gains.append(gain)
     if len(freqs) < 3:
         raise ParseError(path, None, f"need at least 3 data rows, got {len(freqs)}")
     record = SweepRecord(frequency_hz=np.array(freqs), gain=np.array(gains))
@@ -117,39 +137,21 @@ def read_batch_file(path) -> tuple[list[str], np.ndarray, list[str]]:
     """Parse a batch CSV; returns sample ids, f0 values, and comment lines."""
     path = Path(path)
     comments: list[str] = []
-    header_seen = False
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            if not line.strip():
-                continue
-            if not header_seen:
-                if line != BATCH_HEADER:
-                    raise ParseError(path, line_no, f"expected header {BATCH_HEADER!r}, got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 columns, got {len(parts)}")
-            sample_id = parts[0].strip()
-            if not sample_id:
-                raise ParseError(path, line_no, "sample_id must be non-empty")
-            if sample_id in seen:
-                raise ParseError(path, line_no, f"duplicate sample_id {sample_id!r}")
-            seen.add(sample_id)
-            f0 = _parse_float(parts[1], path, line_no, "f0_hz")
-            if f0 <= 0.0:
-                raise ParseError(path, line_no, f"f0_hz must be positive, got {f0!r}")
-            ids.append(sample_id)
-            values.append(f0)
-    if not header_seen:
-        raise ParseError(path, None, "no header line found")
+    for line_no, fields in _data_rows(path, (BATCH_HEADER,), comments):
+        sample_id = fields[0].strip()
+        if not sample_id:
+            raise ParseError(path, line_no, "sample_id must be non-empty")
+        if sample_id in seen:
+            raise ParseError(path, line_no, f"duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+        f0 = _parse_float(fields[1], path, line_no, "f0_hz")
+        if f0 <= 0.0:
+            raise ParseError(path, line_no, f"f0_hz must be positive, got {f0!r}")
+        ids.append(sample_id)
+        values.append(f0)
     if not ids:
         raise ParseError(path, None, "no data rows found")
     return ids, np.array(values), comments
@@ -183,14 +185,28 @@ def parse_metadata(comments) -> dict[str, str]:
     return meta
 
 
-def _as_number(value, field_name: str, allow_inf: bool = False) -> float:
-    if isinstance(value, str):
-        if allow_inf and value.lower() in ("inf", "infinity"):
+def _config_value(name: str, annotation: str, value, allow_inf: bool):
+    """``value`` checked against its field's annotation (``int``, ``str``,
+    ``float`` or ``float | None``).  A field that allows infinity also takes
+    null, "inf" and "infinity" as ``math.inf``."""
+    if annotation == "str":
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif annotation == "int":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        expected = "an integer"
+    else:
+        if value is None and annotation == "float | None":
+            return None
+        if allow_inf and (value is None or (
+                isinstance(value, str) and value.lower() in ("inf", "infinity"))):
             return math.inf
-        raise ValueError(f"config field {field_name!r}: expected a number, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config field {field_name!r}: expected a number, got {value!r}")
-    return float(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        expected = "a number"
+    raise ValueError(f"config field {name!r}: expected {expected}, got {value!r}")
 
 
 @dataclass
@@ -214,31 +230,17 @@ class RunConfig:
     steps_per_tau: int = 16
     seed: int = 0
 
-    _NUMBER_FIELDS = {
-        "f0_hz": False, "g0": True, "feedback_r_ohm": False, "gain_r_ohm": True,
-        "divider_r1_ohm": False, "divider_r2_ohm": False,
-        "f_min_hz": False, "f_max_hz": False, "sigma_rel": False,
-    }
-    _INT_FIELDS = ("n_points", "steps_per_period", "steps_per_tau", "seed")
+    # the fields that accept infinity, spelled null, "inf" or "infinity"
+    _INFINITE_FIELDS = ("g0", "gain_r_ohm")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        annotations = {f.name: f.type for f in fields(cls)}
         cfg = cls()
         for key, value in data.items():
-            if key not in known:
+            if key not in annotations:
                 raise ValueError(f"unknown config field {key!r}")
-            if key in cls._NUMBER_FIELDS:
-                if value is None:
-                    value = math.inf if key in ("g0", "gain_r_ohm") else None
-                else:
-                    value = _as_number(value, key, allow_inf=cls._NUMBER_FIELDS[key])
-            elif key in cls._INT_FIELDS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"config field {key!r}: expected an integer, got {value!r}")
-            elif key == "spacing":
-                if not isinstance(value, str):
-                    raise ValueError(f"config field {key!r}: expected a string, got {value!r}")
+            value = _config_value(key, annotations[key], value, key in cls._INFINITE_FIELDS)
             setattr(cfg, key, value)
         cfg.validate()
         return cfg

@@ -72,15 +72,12 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Stimulus:
-    """Sinusoidal test signal (the only kind in scope)."""
+    """Sinusoidal test signal."""
 
     amplitude: float
     frequency: float
-    kind: str = "sinusoid"
 
     def __post_init__(self):
-        if self.kind != "sinusoid":
-            raise ValueError(f"unsupported stimulus kind {self.kind!r}")
         if not self.amplitude > 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
         if not self.frequency > 0.0:
@@ -144,9 +141,9 @@ class SweepPlan:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not 0.0 < self.f_min < self.f_max:
+        if not (0.0 < self.f_min < self.f_max and math.isfinite(self.f_max)):
             raise ValueError(
-                f"need 0 < f_min < f_max, got f_min={self.f_min!r} f_max={self.f_max!r}"
+                f"need finite 0 < f_min < f_max, got f_min={self.f_min!r} f_max={self.f_max!r}"
             )
         if not 3 <= self.n_points <= MAX_SWEEP_POINTS:
             raise ValueError(
@@ -292,7 +289,8 @@ def _plan_window(
     ``MAX_DRIVE_SAMPLES``.  The step count never grows with the frequency,
     so refused points lead the plan."""
     frequency = np.atleast_1d(np.asarray(frequency, dtype=float))
-    period = 1.0 / frequency
+    with np.errstate(over="ignore"):  # a subnormal frequency's period is refused below
+        period = 1.0 / frequency
     n = np.full_like(period, cfg.steps_per_period)
     if cfg.steps_per_tau > 0:
         tau_cap = 1.0 / _loop_rate(dev, topo)
@@ -305,10 +303,10 @@ def _plan_window(
     over = np.flatnonzero(n > (MAX_DRIVE_SAMPLES - 1) / samples_per_step)
     if over.size:
         k = over[0]
-        steps = int(n[k])
+        steps = float(n[k])  # may be too large for an integer, or infinite
         raise SimulationError(
-            f"at {frequency[k]:.6g} Hz one stimulus period needs {steps} RK4 steps, a "
-            f"{samples_per_step * steps + 1}-sample drive; the per-point limit is "
+            f"at {frequency[k]:.6g} Hz one stimulus period needs {steps:.16g} RK4 steps, a "
+            f"{samples_per_step * steps + 1:.16g}-sample drive; the per-point limit is "
             f"{MAX_DRIVE_SAMPLES} samples (raise the lowest sweep frequency)",
             step_index=0,
             frequency=float(frequency[k]),

@@ -31,6 +31,14 @@ def runner():
     return CliRunner()
 
 
+def assert_clean_failure(result, code):
+    """The command exited with ``code`` and an error line, raising nothing."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert any(line.lower().startswith("error:") for line in result.stderr.splitlines())
+    assert "Traceback" not in result.output
+
+
 def parse_report(text):
     data = {}
     for line in text.splitlines():
@@ -118,6 +126,20 @@ class TestSynth:
         assert result.stderr.startswith("error: gain noise (sigma_rel 10.0) made the gain at ")
         assert "non-positive" in result.stderr and "Traceback" not in result.output
         assert not out.exists()
+
+
+    def test_synth_header_carries_run_provenance(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["synth", str(out), "--points", "8", "--fmin", "2e4", "--fmax", "3e5",
+                "--spacing", "log", "--seed", "6", "--noise", "1e-4"]
+        assert runner.invoke(main, args).exit_code == 0
+        meta = parse_metadata(read_sweep_file(out)[1])
+        assert meta["generator"] == "opampfit synth"
+        assert (meta["seed"], meta["sigma_rel"], meta["spacing"]) == ("6", "0.0001", "log")
+        assert int(meta["n_points"]) == 8
+        assert float(meta["f_min_hz"]) == 2e4 and float(meta["f_max_hz"]) == 3e5
+        assert int(meta["steps_per_period"]) == 256
+        assert int(meta["steps_per_tau"]) == 16
 
 
 class TestFit:
@@ -228,7 +250,7 @@ class TestQuick:
         result = runner.invoke(main, ["quick", str(out), "--n", "2"])
         assert result.exit_code == 4
         assert "too narrow" in result.stderr
-        assert "largest attainable n" in result.stderr
+        assert result.stderr.count("largest attainable n") == 1
 
 
 class TestBatch:
@@ -444,3 +466,40 @@ class TestExitCodes:
         numeric = runner.invoke(main, ["fit", str(flat)])
         assert numeric.exit_code == 4
         assert len({usage.exit_code, parse.exit_code, numeric.exit_code, 0}) == 4
+
+
+PROBE_FILES = {
+    "sweep.csv": b"frequency_hz,gain\n1e4,100.0\n2e4,90.0\n3e4,50.0\n",
+    "latin1.csv": b"frequency_hz,gain\n1e4,100.0\n# caf\xe9\n",
+    "latin1_batch.csv": b"sample_id,f0_hz\n# caf\xe9\n",
+    "ratio.csv": b"frequency_hz,u_in_v,u_out_v\n1.0,1e-300,1e300\n2.0,1,1\n3.0,1,1\n",
+    "tiny.csv": b"frequency_hz,gain\n1.0,1e-200\n2.0,0.9e-200\n3.0,0.5e-200\n",
+    "huge_batch.csv": b"sample_id,f0_hz\na,1e308\nb,1.7e308\nc,1e308\n",
+}
+
+
+PROBES = [
+    (["quick", "sweep.csv", "--n", "1e200"], 4),
+    (["fit", "sweep.csv", "--R", "-5", "--r", "1"], 2),
+    (["fit", "sweep.csv", "--R", "100", "--r", "0"], 2),
+    (["quick", "sweep.csv", "--R", "-5", "--r", "1"], 2),
+    (["synth", "out.csv", "--fmax", "inf"], 3),
+    (["synth", "out.csv", "--points", "3", "--fmin", "1e-320", "--fmax", "1e-319"], 4),
+    (["fit", "latin1.csv"], 3),
+    (["batch", "latin1_batch.csv"], 3),
+    (["fit", "ratio.csv"], 3),
+    (["fit", "tiny.csv"], 4),
+    (["quick", "tiny.csv"], 4),
+    (["batch", "huge_batch.csv"], 4),
+    (["synth", "missing/out.csv", "--points", "8"], 3),
+    (["mc", "missing/out.csv", "--points", "8", "--trials", "2"], 3),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,code", PROBES, ids=[" ".join(argv) for argv, _ in PROBES])
+def test_bad_input_exits_with_documented_code(runner, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    for name, data in PROBE_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    assert_clean_failure(runner.invoke(main, argv), code)

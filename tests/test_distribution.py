@@ -55,6 +55,14 @@ class TestBatchStats:
         with pytest.raises(ValueError):
             batch_stats([1.0])
 
+    @pytest.mark.parametrize("compute", [batch_stats, empirical_cdf, analyze_batch,
+                                         NormalityFit().fit])
+    @pytest.mark.parametrize("samples", [[1e308, 1.7e308, 1e308], [1.7e308, 1e-300]])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_rejected(self, compute, samples):
+        with pytest.raises(ValueError, match="overflows"):
+            compute(samples)
+
 
 class TestEmpiricalCdf:
     def test_two_point_hand_arithmetic(self):

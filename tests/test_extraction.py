@@ -64,6 +64,38 @@ class TestSweepRecord:
         assert SweepRecord([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]).expected_intercept is None
 
 
+@pytest.mark.parametrize("estimator", [CrossoverFrequencyFit(), QuickCrossoverFit()])
+@pytest.mark.parametrize(
+    "freqs,gains",
+    [
+        ([1.0, 2.0, 3.0], [1e-200, 0.9e-200, 0.5e-200]),  # 1/gain^2 overflows
+        ([1.0, 2.0, 3.0], [1e200, 0.9e200, 0.5e200]),  # gain^2 overflows
+        ([1e200, 2e200, 3e200], [3.0, 2.0, 1.0]),  # f^2 overflows
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_sweep_outside_float_range_is_a_fit_error(estimator, freqs, gains):
+    with pytest.raises(FitError, match="floating-point range"):
+        estimator.fit(freqs, gains)
+
+
+@pytest.mark.parametrize("estimator", [CrossoverFrequencyFit(), QuickCrossoverFit()])
+@pytest.mark.parametrize(
+    "freqs,gains",
+    [
+        ([1.0, 2.0], [3.0, 2.0]),  # too short
+        ([1.0, 2.0, 3.0], [3.0, 2.0]),  # unequal lengths
+        ([0.0, 2.0, 3.0], [3.0, 2.0, 1.0]),  # non-positive frequency
+        ([1.0, 2.0, 3.0], [3.0, -2.0, 1.0]),  # non-positive gain
+        ([1.0, math.nan, 3.0], [3.0, 2.0, 1.0]),  # not finite
+        ([[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]),  # not 1-D
+    ],
+)
+def test_estimators_validate_their_sweep(estimator, freqs, gains):
+    with pytest.raises(ValueError):
+        estimator.fit(freqs, gains)
+
+
 class TestFitF0:
     def test_noiseless_recovery(self):
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 256)
@@ -213,6 +245,12 @@ class TestQuickFit:
             quick_fit_f0(record, n=2.0)
         expected_max = record.gain[0] / record.gain.min()
         assert excinfo.value.max_attainable_n == pytest.approx(expected_max, rel=1e-12)
+
+    def test_drop_beyond_float_range_is_a_range_error(self):
+        # (n/y0)^2 overflows, so no sweep point can reach the drop
+        record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 64, with_meta=False)
+        with pytest.raises(SweepRangeError, match="too narrow for n = 1e\\+200"):
+            quick_fit_f0(record, n=1e200)
 
     def test_topology_variant_is_gain_scale_invariant(self):
         base = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 256)  # carries meta

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opampfit import (
     ParseError,
@@ -89,6 +91,7 @@ class TestSweepFile:
             ("frequency_hz,gain\n1000.0,nan\n2000.0,2.0\n3000.0,1.0\n", "not finite"),
             ("frequency_hz,gain\n1000.0,-2.0\n2000.0,2.0\n3000.0,1.0\n", "positive"),
             ("frequency_hz,gain\n1000.0,1.0,9\n2000.0,2.0\n3000.0,1.0\n", "columns"),
+            ("frequency_hz,u_in_v,u_out_v\n1.0,1e-300,1e300\n2.0,1,1\n3.0,1,1\n", "overflows"),
             ("", "no header"),
         ],
     )
@@ -97,6 +100,13 @@ class TestSweepFile:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError, match=fragment):
             read_sweep_file(path)
+
+    @pytest.mark.parametrize("reader", [read_sweep_file, read_batch_file])
+    def test_non_utf8_bytes_are_a_parse_error(self, tmp_path, reader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# caf\xe9\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            reader(path)
 
 
 class TestBatchFile:
@@ -130,6 +140,71 @@ class TestBatchFile:
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_batch_file(tmp_path / "b.csv", ["a"], [1.0, 2.0])
+
+
+# Text built from the characters of the two formats reaches the row checks
+# far more often than raw bytes, which rarely even decode.
+CSV_TEXT = st.text(alphabet="0123456789.,-+eEinfa#_ \r\n").map(str.encode)
+HEADERS = st.sampled_from([b"frequency_hz,gain\n", b"frequency_hz,u_in_v,u_out_v\n",
+                           b"sample_id,f0_hz\n"])
+ANY_BYTES = st.one_of(
+    st.binary(max_size=200),
+    CSV_TEXT,
+    st.tuples(HEADERS, CSV_TEXT).map(b"".join),
+    st.tuples(HEADERS, st.binary(max_size=50)).map(b"".join),
+)
+COMMENTS = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+    .map(lambda body: "#" + body),
+    max_size=3,
+)
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=ANY_BYTES)
+def test_readers_raise_only_parse_error(tmp_path, data):
+    path = tmp_path / "any.csv"
+    path.write_bytes(data)
+    for reader in (read_sweep_file, read_batch_file):
+        try:
+            reader(path)
+        except ParseError:
+            pass
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    freqs=st.lists(POSITIVE, min_size=3, max_size=20, unique=True),
+    gains=st.lists(POSITIVE, min_size=20, max_size=20),
+    comments=COMMENTS,
+)
+def test_sweep_round_trip_is_byte_exact(tmp_path, freqs, gains, comments):
+    path = tmp_path / "sweep.csv"
+    record = SweepRecord(np.sort(freqs), gains[: len(freqs)])
+    write_sweep_file(path, record, comments)
+    first = path.read_bytes()
+    got, got_comments = read_sweep_file(path)
+    assert got_comments == comments
+    write_sweep_file(path, got, got_comments)
+    assert path.read_bytes() == first
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ids=st.lists(st.text("abcXYZ0123456789_-.", min_size=1, max_size=8),
+                 min_size=1, max_size=20, unique=True),
+    values=st.lists(POSITIVE, min_size=20, max_size=20),
+    comments=COMMENTS,
+)
+def test_batch_round_trip_is_byte_exact(tmp_path, ids, values, comments):
+    path = tmp_path / "batch.csv"
+    write_batch_file(path, ids, values[: len(ids)], comments)
+    first = path.read_bytes()
+    got_ids, got_values, got_comments = read_batch_file(path)
+    assert (got_ids, got_comments) == (ids, comments)
+    write_batch_file(path, got_ids, got_values, got_comments)
+    assert path.read_bytes() == first
 
 
 class TestRunConfig:
@@ -172,6 +247,19 @@ class TestRunConfig:
             RunConfig.from_mapping({"f0_hz": "fast"})
         with pytest.raises(ValueError, match="n_points"):
             RunConfig.from_mapping({"n_points": 12.5})
+        with pytest.raises(ValueError, match="'f_min_hz': expected a number, got None"):
+            RunConfig.from_mapping({"f_min_hz": None})
+        with pytest.raises(ValueError, match="spacing"):
+            RunConfig.from_mapping({"spacing": 1})
+        with pytest.raises(ValueError, match="f0_hz"):
+            RunConfig.from_mapping({"f0_hz": "inf"})
+
+    def test_null_means_infinite_or_absent_by_field(self):
+        cfg = RunConfig.from_mapping(
+            {"g0": None, "gain_r_ohm": "Infinity", "divider_r1_ohm": None}
+        )
+        assert math.isinf(cfg.g0) and math.isinf(cfg.gain_r_ohm)
+        assert cfg.divider_r1_ohm is None
 
     def test_field_level_invariant_messages(self):
         with pytest.raises(ValueError, match="sweep plan"):

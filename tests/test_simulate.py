@@ -326,6 +326,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepPlan(1e4, 1e5, 2)
 
+    @pytest.mark.parametrize("f_min,f_max", [(1e4, math.inf), (math.nan, 1e5), (1e4, math.nan)])
+    def test_plan_bounds_must_be_finite(self, f_min, f_max):
+        with pytest.raises(ValueError, match="finite 0 < f_min < f_max"):
+            SweepPlan(f_min, f_max, 16)
+
     def test_plan_points_are_bounded(self):
         assert SweepPlan(1e4, 1e5, MAX_SWEEP_POINTS).n_points == MAX_SWEEP_POINTS
         with pytest.raises(ValueError, match="n_points"):
