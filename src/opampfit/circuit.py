@@ -67,6 +67,9 @@ class DeviceParams:
                 raise ValueError(f"f0 must be positive and finite, got {f0!r}")
             object.__setattr__(self, "f0", f0)
             object.__setattr__(self, "tau0", 1.0 / (TWO_PI * f0))
+        if not (0.0 < self.f0 < math.inf and 0.0 < self.tau0 < math.inf):
+            raise ValueError(f"f0 ({self.f0!r} Hz) and tau0 ({self.tau0!r} s) must both be "
+                             f"positive and finite")
         g0 = float(self.g0)
         if not g0 > 1.0:
             raise ValueError(f"g0 must exceed 1, got {g0!r}")
@@ -114,6 +117,9 @@ class Topology:
             if not (r2 > 0.0 and math.isfinite(r2)):
                 raise ValueError(f"divider r2 must be finite and > 0, got {r2!r}")
             object.__setattr__(self, "divider", (r1, r2))
+        for name, ratio in (("feedback", self.beta), ("divider", self.divider_ratio)):
+            if not ratio > 0.0:  # the resistor sum overflowed or the ratio underflowed
+                raise ValueError(f"{name} ratio of {self!r} is not positive ({ratio!r})")
 
     @classmethod
     def repeater(cls, divider: tuple[float, float] | None = None) -> "Topology":

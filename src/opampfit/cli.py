@@ -5,7 +5,10 @@ readout of a sweep file), ``quick`` (regression-free readout), ``batch``
 (distribution report over many fitted f0 values), ``mc`` (one noiseless
 sweep, then seeded noise and a fit per trial, producing a batch file).
 Exit codes: 0 success, 2 usage errors, 3 file/config parse errors,
-4 numerical/fit errors.
+4 numerical/fit errors.  Commands raise the library's typed errors and
+``main``'s group class, :class:`_Commands`, is the one place that maps them
+to exit codes; only a config ``ValueError``, ``batch``'s statistics and
+``mc``'s per-trial prefix are handled where they arise.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .extraction import CalibrationWarning, FitError, QuickCrossoverFit, fit_f0
 from .fileio import (
     ParseError,
     RunConfig,
+    _write_csv,
     format_metadata,
     read_batch_file,
     read_sweep_file,
@@ -42,33 +46,12 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_config(config_path) -> RunConfig:
-    if config_path is None:
-        return RunConfig()
+def _run_config(config_path, overrides: dict) -> RunConfig:
+    """The ``--config`` file's configuration (or the defaults) with every
+    given flag laid over it; named by their ``RunConfig`` fields."""
     try:
-        return RunConfig.from_file(config_path)
-    except (ParseError, ValueError, OSError) as err:
-        _fail(EXIT_PARSE, str(err))
-
-
-def _apply_overrides(cfg: RunConfig, seed, noise, points, fmin, fmax, spacing, big_r, small_r):
-    if seed is not None:
-        cfg.seed = seed
-    if noise is not None:
-        cfg.sigma_rel = noise
-    if points is not None:
-        cfg.n_points = points
-    if fmin is not None:
-        cfg.f_min_hz = fmin
-    if fmax is not None:
-        cfg.f_max_hz = fmax
-    if spacing is not None:
-        cfg.spacing = spacing
-    if big_r is not None:
-        cfg.feedback_r_ohm = big_r
-    if small_r is not None:
-        cfg.gain_r_ohm = small_r
-    try:
+        cfg = RunConfig() if config_path is None else RunConfig.from_file(config_path)
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
     except ValueError as err:
         _fail(EXIT_PARSE, str(err))
@@ -78,26 +61,13 @@ def _apply_overrides(cfg: RunConfig, seed, noise, points, fmin, fmax, spacing, b
 def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
     """'# key = value' header lines recording the run configuration, enough
     to run ``command`` again."""
-    meta = {
-        "generator": f"opampfit {command}",
-        "seed": cfg.seed,
-        **extra,
-        "truth_f0_hz": repr(cfg.f0_hz),
-        "sigma_rel": repr(cfg.sigma_rel),
-        "g0": repr(cfg.g0),
-        "feedback_r_ohm": repr(cfg.feedback_r_ohm),
-        "gain_r_ohm": repr(cfg.gain_r_ohm),
-        "n_points": repr(cfg.n_points),
-        "f_min_hz": repr(cfg.f_min_hz),
-        "f_max_hz": repr(cfg.f_max_hz),
-        "spacing": cfg.spacing,
-        "steps_per_period": repr(cfg.steps_per_period),
-        "steps_per_tau": repr(cfg.steps_per_tau),
-    }
+    names = ("sigma_rel", "g0", "feedback_r_ohm", "gain_r_ohm", "n_points", "f_min_hz",
+             "f_max_hz", "spacing", "steps_per_period", "steps_per_tau")
     if cfg.divider_r1_ohm is not None:
-        meta["divider_r1_ohm"] = repr(cfg.divider_r1_ohm)
-        meta["divider_r2_ohm"] = repr(cfg.divider_r2_ohm)
-    return format_metadata(meta)
+        names += ("divider_r1_ohm", "divider_r2_ohm")
+    # str() of a float is its repr, the shortest form that reads back exactly
+    return format_metadata({"generator": f"opampfit {command}", "seed": cfg.seed, **extra,
+                            "truth_f0_hz": cfg.f0_hz, **{n: getattr(cfg, n) for n in names}})
 
 
 def _check_topology_flags(big_r, small_r) -> None:
@@ -117,16 +87,19 @@ def _config_options(command):
                      default=None, help="JSON run configuration file."),
         click.option("--seed", type=click.IntRange(min=0), default=None,
                      help="Random seed (u64)."),
-        click.option("--noise", type=float, default=None,
+        click.option("--noise", "sigma_rel", type=float, default=None,
                      help="Relative gain-noise sigma."),
-        click.option("--points", type=int, default=None, help="Number of sweep points."),
-        click.option("--fmin", type=float, default=None, help="Lowest sweep frequency in Hz."),
-        click.option("--fmax", type=float, default=None, help="Highest sweep frequency in Hz."),
+        click.option("--points", "n_points", type=int, default=None,
+                     help="Number of sweep points."),
+        click.option("--fmin", "f_min_hz", type=float, default=None,
+                     help="Lowest sweep frequency in Hz."),
+        click.option("--fmax", "f_max_hz", type=float, default=None,
+                     help="Highest sweep frequency in Hz."),
         click.option("--spacing", type=click.Choice(["linear", "log"]), default=None,
                      help="Sweep point spacing."),
-        click.option("--R", "big_r", type=float, default=None,
+        click.option("--R", "feedback_r_ohm", type=float, default=None,
                      help="Feedback resistance in ohms."),
-        click.option("--r", "small_r", type=float, default=None,
+        click.option("--r", "gain_r_ohm", type=float, default=None,
                      help="Gain resistance in ohms."),
     ]
     for option in reversed(options):
@@ -134,7 +107,20 @@ def _config_options(command):
     return command
 
 
-@click.group()
+class _Commands(click.Group):
+    """Runs a subcommand and turns the library's typed errors into an
+    ``error:`` line and the documented exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParseError, OSError) as err:
+            _fail(EXIT_PARSE, str(err))
+        except (SimulationError, FitError) as err:
+            _fail(EXIT_NUMERIC, str(err))
+
+
+@click.group(cls=_Commands)
 def main():
     """Single-pole op-amp toolkit: simulate gain sweeps, extract the
     crossover frequency, and analyse batches of measured devices."""
@@ -143,21 +129,14 @@ def main():
 @main.command()
 @click.argument("output", type=click.Path(dir_okay=False, writable=True))
 @_config_options
-def synth(output, config_path, seed, noise, points, fmin, fmax, spacing, big_r, small_r):
+def synth(output, config_path, **overrides):
     """Simulate a frequency sweep and write it as a sweep CSV."""
-    cfg = _load_config(config_path)
-    _apply_overrides(cfg, seed, noise, points, fmin, fmax, spacing, big_r, small_r)
-    try:
-        record = run_sweep(
-            cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg.noise(),
-            cfg.sim_config(), seed=cfg.seed,
-        )
-    except SimulationError as err:
-        _fail(EXIT_NUMERIC, str(err))
-    try:
-        write_sweep_file(output, record, _provenance("synth", cfg))
-    except OSError as err:
-        _fail(EXIT_PARSE, str(err))
+    cfg = _run_config(config_path, overrides)
+    record = run_sweep(
+        cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg.noise(),
+        cfg.sim_config(), seed=cfg.seed,
+    )
+    write_sweep_file(output, record, _provenance("synth", cfg))
     click.echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
                f"truth f0 = {cfg.f0_hz!r} Hz")
 
@@ -174,23 +153,14 @@ def _echo_fit_report(result):
     click.echo(f"corr = {result.corr:.6g}")
 
 
-def _write_plot_data(directory, record, result):
+def _write_plot_data(directory, header: str, files: dict) -> None:
+    """Write each ``name: columns`` of ``files`` as a CSV in ``directory``,
+    creating it as needed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    u = record.frequency_hz**2
-    v = 1.0 / record.gain**2
-    points_path = directory / "fit_points.csv"
-    with points_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("f_squared_hz2,inv_gain_squared\n")
-        for ui, vi in zip(u, v):
-            fh.write(f"{float(ui)!r},{float(vi)!r}\n")
-    line_path = directory / "fit_line.csv"
-    u_line = np.linspace(u[0], u[-1], 256)
-    with line_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("f_squared_hz2,inv_gain_squared\n")
-        for ui in u_line:
-            fh.write(f"{float(ui)!r},{float(result.intercept + result.slope * ui)!r}\n")
-    click.echo(f"wrote {points_path} and {line_path}")
+    for name, columns in files.items():
+        _write_csv(directory / name, header, columns)
+    click.echo(f"wrote {' and '.join(str(directory / name) for name in files)}")
 
 
 @main.command()
@@ -203,23 +173,22 @@ def _write_plot_data(directory, record, result):
 def fit(sweep_path, big_r, small_r, weighted, plot_dir):
     """Fit the crossover frequency of a sweep file by linear regression."""
     _check_topology_flags(big_r, small_r)
-    try:
-        record, _ = read_sweep_file(sweep_path)
-    except ParseError as err:
-        _fail(EXIT_PARSE, str(err))
+    record, _ = read_sweep_file(sweep_path)
     if big_r is not None:
         record = replace(record, feedback_r=big_r, gain_r=small_r)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", CalibrationWarning)
-            result = fit_f0(record, weighted=weighted)
-    except FitError as err:
-        _fail(EXIT_NUMERIC, str(err))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CalibrationWarning)
+        result = fit_f0(record, weighted=weighted)
     for w in caught:
         click.echo(f"warning: {w.message}", err=True)
     _echo_fit_report(result)
     if plot_dir is not None:
-        _write_plot_data(plot_dir, record, result)
+        u = record.frequency_hz**2
+        u_line = np.linspace(u[0], u[-1], 256)
+        _write_plot_data(plot_dir, "f_squared_hz2,inv_gain_squared", {
+            "fit_points.csv": (u, 1.0 / record.gain**2),
+            "fit_line.csv": (u_line, result.intercept + result.slope * u_line),
+        })
 
 
 @main.command()
@@ -235,15 +204,9 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
     if not ratio > 1.0:
         raise click.BadParameter("must exceed 1", param_hint="--n")
     _check_topology_flags(big_r, small_r)
-    try:
-        record, _ = read_sweep_file(sweep_path)
-    except ParseError as err:
-        _fail(EXIT_PARSE, str(err))
+    record, _ = read_sweep_file(sweep_path)
     est = QuickCrossoverFit(n=ratio, feedback_r=big_r, gain_r=small_r, baseline=baseline)
-    try:
-        est.fit(record.frequency_hz, record.gain)
-    except FitError as err:
-        _fail(EXIT_NUMERIC, str(err))
+    est.fit(record.frequency_hz, record.gain)
     click.echo(f"f0_hz = {est.f0_hz_:.6g}")
     click.echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
     click.echo(f"baseline_gain = {est.baseline_gain_:.6g}")
@@ -258,10 +221,7 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
               help="Directory for ECDF and fitted-CDF CSVs.")
 def batch(batch_path, plot_dir):
     """Distribution report over a batch of fitted f0 values."""
-    try:
-        ids, values, _ = read_batch_file(batch_path)
-    except ParseError as err:
-        _fail(EXIT_PARSE, str(err))
+    ids, values, _ = read_batch_file(batch_path)
     try:
         mean, stddev = batch_stats(values)
     except ValueError as err:
@@ -280,21 +240,11 @@ def batch(batch_path, plot_dir):
     click.echo(f"kolmogorov_d_sqrt_n = {dist.kolmogorov_d * math.sqrt(dist.n):.6g}")
     click.echo(f"cdf_corr = {dist.cdf_corr:.6g}")
     if plot_dir is not None:
-        directory = Path(plot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        ecdf_path = directory / "ecdf.csv"
-        with ecdf_path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("deviation_sigma,probability\n")
-            for x, p in zip(dist.ecdf_x, dist.ecdf_p):
-                fh.write(f"{float(x)!r},{float(p)!r}\n")
-        cdf_path = directory / "normal_cdf.csv"
         grid = np.linspace(dist.ecdf_x[0], dist.ecdf_x[-1], 256)
-        phi = normal_reference_cdf(grid)
-        with cdf_path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("deviation_sigma,probability\n")
-            for x, p in zip(grid, phi):
-                fh.write(f"{float(x)!r},{float(p)!r}\n")
-        click.echo(f"wrote {ecdf_path} and {cdf_path}")
+        _write_plot_data(plot_dir, "deviation_sigma,probability", {
+            "ecdf.csv": (dist.ecdf_x, dist.ecdf_p),
+            "normal_cdf.csv": (grid, normal_reference_cdf(grid)),
+        })
 
 
 @main.command()
@@ -304,20 +254,14 @@ def batch(batch_path, plot_dir):
 @click.option("--corr-threshold", type=float, default=0.999, show_default=True,
               help="Correlation threshold for the reported pass fraction.")
 @_config_options
-def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, fmax,
-       spacing, big_r, small_r):
+def mc(output, trials, corr_threshold, config_path, **overrides):
     """Monte-Carlo harness: simulate the noiseless sweep once, then per
     trial redraw the gain noise with seed ``(seed, trial)`` and fit it;
     writes the fitted f0 values as a batch CSV (one row per trial).  The
     result equals running synth+fit per trial, bit-for-bit."""
-    cfg = _load_config(config_path)
-    _apply_overrides(cfg, seed, noise, points, fmin, fmax, spacing, big_r, small_r)
+    cfg = _run_config(config_path, overrides)
     noise_model = cfg.noise()
-    try:
-        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None,
-                          cfg.sim_config())
-    except SimulationError as err:
-        _fail(EXIT_NUMERIC, str(err))
+    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
     f0_values = np.empty(trials)
     corr_pass = 0
     try:
@@ -335,10 +279,7 @@ def mc(output, trials, corr_threshold, config_path, seed, noise, points, fmin, f
     except (SimulationError, FitError) as err:
         _fail(EXIT_NUMERIC, f"trial {trial}: {err}")
     ids = [str(trial + 1) for trial in range(trials)]
-    try:
-        write_batch_file(output, ids, f0_values, _provenance("mc", cfg, trials=trials))
-    except OSError as err:
-        _fail(EXIT_PARSE, str(err))
+    write_batch_file(output, ids, f0_values, _provenance("mc", cfg, trials=trials))
     click.echo(f"trials = {trials}")
     if trials >= 2:
         mean, spread = batch_stats(f0_values)

@@ -26,10 +26,13 @@ def normal_reference_cdf(x) -> np.ndarray:
 
 def _moments(samples) -> tuple[np.ndarray, float, float]:
     """A batch as a validated float array with its mean and N-1 standard
-    deviation; ValueError when either overflows."""
+    deviation (exactly 0 when all samples are equal, whatever the mean's
+    rounding); ValueError when either overflows."""
     arr = as_float_array(samples, "samples", min_len=2)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stddev = float(arr.mean()), float(arr.std(ddof=1))
+    if arr.min() == arr.max():
+        stddev = 0.0
     if not (math.isfinite(mean) and math.isfinite(stddev)):
         raise ValueError(f"batch mean ({mean!r}) or standard deviation ({stddev!r}) overflows")
     return arr, mean, stddev

@@ -185,6 +185,9 @@ class CrossoverFrequencyFit(ParamsMixin):
         self.corr_ = float(corr)
         self.f0_hz_ = 1.0 / math.sqrt(slope)
         self.intercept_expected_ = _ideal_intercept(self.feedback_r, self.gain_r)
+        if self.intercept_expected_ == 0.0:
+            raise FitError("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
+                           "so the calibration cannot be checked")
         if self.intercept_expected_ is not None:
             self.intercept_rel_dev_ = (
                 self.intercept_ - self.intercept_expected_

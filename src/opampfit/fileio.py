@@ -87,6 +87,44 @@ def _data_rows(path: Path, headers: tuple[str, ...], comments: list[str]):
         raise ParseError(path, None, "no header line found")
 
 
+def _text_field(value: str) -> str:
+    """``value`` if the readers here parse it back as written, else
+    ValueError naming it."""
+    if not value or value.startswith("#") or value != value.strip() or any(
+            c in value for c in ",\r\n"):
+        raise ValueError(
+            f"text field {value!r} would not read back: it must be non-empty, not start "
+            f"with '#', hold no ',', CR or LF, and have no surrounding whitespace"
+        )
+    value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError here
+    return value
+
+
+def _write_csv(path, header: str, columns, comments=()) -> None:
+    """Write a UTF-8 CSV: the ``comments`` lines, ``header``, then one row per
+    index of the equal-length ``columns``.
+
+    Numbers are written as the ``repr`` of their float.  A ``str`` field
+    (outside numpy array columns) is written as it is and must read back
+    unchanged (:func:`_text_field`); a comment must start with ``#`` and hold
+    no CR or LF.  Both are checked before the file is opened.
+    """
+    for line in comments:
+        if not line.startswith("#") or "\r" in line or "\n" in line:
+            raise ValueError(f"comment {line!r} must start with '#' and hold no CR or LF")
+        line.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError here
+    fields = [
+        map(repr, np.asarray(col, dtype=float).tolist()) if isinstance(col, np.ndarray)
+        else [_text_field(v) if isinstance(v, str) else repr(float(v)) for v in col]
+        for col in columns
+    ]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        for line in (*comments, header):
+            fh.write(line + "\n")
+        for row in zip(*fields):
+            fh.write(",".join(row) + "\n")
+
+
 def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:
     """Parse a sweep CSV; returns the record and its comment lines."""
     path = Path(path)
@@ -124,13 +162,7 @@ def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:
 
 
 def write_sweep_file(path, record: SweepRecord, comments: list[str] | tuple = ()) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(SWEEP_HEADER_GAIN + "\n")
-        for f, y in zip(record.frequency_hz, record.gain):
-            fh.write(f"{float(f)!r},{float(y)!r}\n")
+    _write_csv(path, SWEEP_HEADER_GAIN, (record.frequency_hz, record.gain), comments)
 
 
 def read_batch_file(path) -> tuple[list[str], np.ndarray, list[str]]:
@@ -158,15 +190,15 @@ def read_batch_file(path) -> tuple[list[str], np.ndarray, list[str]]:
 
 
 def write_batch_file(path, ids, f0_hz, comments: list[str] | tuple = ()) -> None:
-    path = Path(path)
     if len(ids) != len(f0_hz):
         raise ValueError(f"got {len(ids)} ids for {len(f0_hz)} values")
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(BATCH_HEADER + "\n")
-        for sample_id, value in zip(ids, f0_hz):
-            fh.write(f"{sample_id},{float(value)!r}\n")
+    ids = [str(i) for i in ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate sample id {next(i for i in ids if ids.count(i) > 1)!r}")
+    bad = [v for v in map(float, f0_hz) if not 0.0 < v < math.inf]
+    if bad:
+        raise ValueError(f"f0_hz values must be positive and finite, got {bad[0]!r}")
+    _write_csv(path, BATCH_HEADER, (ids, f0_hz), comments)
 
 
 def format_metadata(mapping: dict) -> list[str]:

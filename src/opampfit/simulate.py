@@ -60,7 +60,8 @@ MAX_SWEEP_POINTS = 2**16
 
 class SimulationError(RuntimeError):
     """The planned integration is too large or unstable, it produced a
-    non-finite state, or gain noise made a recorded gain non-positive.
+    non-finite state, or gain noise made a recorded gain non-positive or
+    non-finite.
     ``step_index`` is the first offending step (0 when the plan is refused
     before integrating, or for a noise draw)."""
 
@@ -153,9 +154,12 @@ class SweepPlan:
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
 
     def frequencies(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.f_min, self.f_max, self.n_points)
-        return np.linspace(self.f_min, self.f_max, self.n_points)
+        # near the top of the float range numpy overflows in a grid point it
+        # then replaces with f_max exactly
+        with np.errstate(over="ignore"):
+            if self.spacing == "log":
+                return np.geomspace(self.f_min, self.f_max, self.n_points)
+            return np.linspace(self.f_min, self.f_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -289,18 +293,20 @@ def _plan_window(
     ``MAX_DRIVE_SAMPLES``.  The step count never grows with the frequency,
     so refused points lead the plan."""
     frequency = np.atleast_1d(np.asarray(frequency, dtype=float))
-    with np.errstate(over="ignore"):  # a subnormal frequency's period is refused below
+    # a subnormal frequency's infinite period is refused below, and so is
+    # its NaN step count when the loop's time constant overflows as well
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         period = 1.0 / frequency
-    n = np.full_like(period, cfg.steps_per_period)
-    if cfg.steps_per_tau > 0:
-        tau_cap = 1.0 / _loop_rate(dev, topo)
-        if repeater_dev is not None:
-            # repeater integrates at half step, so it tolerates 2x its tau
-            tau_cap = min(tau_cap, 2.0 / _loop_rate(repeater_dev, Topology.repeater()))
-        n = np.maximum(n, np.ceil(cfg.steps_per_tau * period / tau_cap))
+        n = np.full_like(period, cfg.steps_per_period)
+        if cfg.steps_per_tau > 0:
+            tau_cap = 1.0 / np.float64(_loop_rate(dev, topo))
+            if repeater_dev is not None:
+                # repeater integrates at half step, so it tolerates 2x its tau
+                tau_cap = min(tau_cap, 2.0 / _loop_rate(repeater_dev, Topology.repeater()))
+            n = np.maximum(n, np.ceil(cfg.steps_per_tau * period / tau_cap))
     samples_per_step = 4 if repeater_dev is not None else 2
     # compared as float steps, so a plan too large for an integer is refused too
-    over = np.flatnonzero(n > (MAX_DRIVE_SAMPLES - 1) / samples_per_step)
+    over = np.flatnonzero(~(n <= (MAX_DRIVE_SAMPLES - 1) / samples_per_step))
     if over.size:
         k = over[0]
         steps = float(n[k])  # may be too large for an integer, or infinite
@@ -403,23 +409,27 @@ def add_gain_noise(
     ``(*seed, k)`` (``(seed, k)`` for an integer seed), never from a shared
     stream, so the result is reproducible bit-for-bit and independent of
     evaluation order.  A noiseless model returns ``record`` itself.  A
-    draw that leaves a gain non-positive (possible only for a large
-    ``sigma_rel``) raises :class:`SimulationError` naming its frequency.
+    draw that leaves a gain non-positive or overflows it (possible only for
+    a large ``sigma_rel``) raises :class:`SimulationError` naming its
+    frequency.
     """
     if noise.sigma_rel == 0.0:
         return record
     seed_words = (seed,) if isinstance(seed, int) else tuple(seed)
-    gains = np.array(record.gain)
-    for k in range(gains.size):
-        rng = np.random.default_rng([*seed_words, k])
-        gains[k] *= 1.0 + noise.sigma_rel * rng.standard_normal()
-    non_positive = np.flatnonzero(gains <= 0.0)
-    if non_positive.size:
-        k = non_positive[0]
+    factors = [
+        1.0 + noise.sigma_rel * np.random.default_rng([*seed_words, k]).standard_normal()
+        for k in range(record.n_points)
+    ]
+    with np.errstate(over="ignore"):  # an overflowed gain is refused below
+        gains = record.gain * np.array(factors)
+    bad = np.flatnonzero(~((gains > 0.0) & (gains < math.inf)))
+    if bad.size:
+        k = bad[0]
         frequency = float(record.frequency_hz[k])
+        what = "non-positive" if gains[k] <= 0.0 else "non-finite"
         raise SimulationError(
             f"gain noise (sigma_rel {noise.sigma_rel!r}) made the gain at "
-            f"{frequency:.6g} Hz non-positive ({gains[k]:.6g})",
+            f"{frequency:.6g} Hz {what} ({gains[k]:.6g})",
             step_index=0,
             frequency=frequency,
         )
@@ -453,7 +463,8 @@ def run_sweep(
     cfg = cfg or SimConfig()
 
     freqs = plan.frequencies()
-    h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg, repeater_dev))
+    with np.errstate(over="ignore"):  # f*n overflows only for a step refused as unstable
+        h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg, repeater_dev))
     scale = topo.divider_ratio / dev.tau0
     if repeater_dev is not None:
         # the repeater's orbit at half step is the amplifier's drive

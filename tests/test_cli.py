@@ -1,10 +1,16 @@
 """Command-line interface tests, exercised through click's test runner."""
 
+import json
 import math
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opampfit import (
     DeviceParams,
@@ -272,6 +278,14 @@ class TestBatch:
         assert "degenerate batch" in result.stdout
         assert "cdf_corr" not in result.stdout
 
+    @pytest.mark.filterwarnings("error")
+    def test_equal_values_are_degenerate_whatever_the_mean_rounding(self, runner, tmp_path):
+        path = tmp_path / "batch.csv"
+        write_batch_file(path, list("abcde"), [429496730.4095121] * 5)
+        result = runner.invoke(main, ["batch", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "stddev_hz = 0\n" in result.stdout and "degenerate batch" in result.stdout
+
     def test_seeded_normal_batch_report(self, runner, tmp_path):
         rng = np.random.default_rng(777)
         samples = rng.normal(97.73e6, 1.62e6, 400)
@@ -475,6 +489,8 @@ PROBE_FILES = {
     "ratio.csv": b"frequency_hz,u_in_v,u_out_v\n1.0,1e-300,1e300\n2.0,1,1\n3.0,1,1\n",
     "tiny.csv": b"frequency_hz,gain\n1.0,1e-200\n2.0,0.9e-200\n3.0,0.5e-200\n",
     "huge_batch.csv": b"sample_id,f0_hz\na,1e308\nb,1.7e308\nc,1e308\n",
+    "b3.csv": b"sample_id,f0_hz\na,9.7e7\nb,9.8e7\nc,9.6e7\n",
+    "tiny_f0.json": b'{"f0_hz": 1e-320}',
 }
 
 
@@ -493,6 +509,16 @@ PROBES = [
     (["batch", "huge_batch.csv"], 4),
     (["synth", "missing/out.csv", "--points", "8"], 3),
     (["mc", "missing/out.csv", "--points", "8", "--trials", "2"], 3),
+    (["synth", "out.csv", "--points", "3", "--noise", "1e308", "--seed", "2"], 4),
+    (["synth", "out.csv", "--points", "3", "--fmin", "1e307", "--fmax", "1e308"], 4),
+    (["fit", "sweep.csv", "--plot-data", "sweep.csv/sub"], 3),
+    (["batch", "b3.csv", "--plot-data", "b3.csv/sub"], 3),
+    # found by the generated-call property below
+    (["synth", "out.csv", "--R", "1e308", "--r", "1e308"], 3),
+    (["synth", "out.csv", "--config", "tiny_f0.json"], 3),
+    (["synth", "out.csv", "--fmin", "1e-320", "--r", "1e-320"], 4),
+    (["synth", "out.csv", "--fmax", "1.7976931348623157e308"], 4),
+    (["fit", "sweep.csv", "--R", "0.001", "--r", "1.2442072448496355e-203"], 4),
 ]
 
 
@@ -503,3 +529,126 @@ def test_bad_input_exits_with_documented_code(runner, tmp_path, monkeypatch, arg
     for name, data in PROBE_FILES.items():
         (tmp_path / name).write_bytes(data)
     assert_clean_failure(runner.invoke(main, argv), code)
+
+
+# The CLI contract over generated input: a subcommand with its flags (numbers
+# drawn to include non-finite, zero, negative, tiny and huge values), an
+# optional --config JSON and the bytes of the input file.  --points, --trials
+# and the config's n_points stay at most 64 (or far over the plan bound, which
+# is refused before any work), so every run fits the budget below.
+BUDGET_S = 5.0
+
+NUMBER = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-320, 1e-3, 1.0, 2.0, 23.0, 1e4, 1e5, 3e6, 1e307, 1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+POINTS = st.one_of(st.integers(-1, 64), st.sampled_from([MAX_SWEEP_POINTS + 1, 10**30]))
+OUTPUT = st.sampled_from(["out.csv", "out.csv", "out.csv", "missing/out.csv", "in.csv/out.csv"])
+PLOT_DIR = st.sampled_from(["plots", "in.csv/sub"])
+
+CONFIG_VALUE = st.one_of(NUMBER, st.integers(-2, 10**6), st.none(), st.booleans(),
+                         st.sampled_from(["inf", "log", "linear", ""]))
+CONFIG = st.one_of(
+    st.binary(max_size=40),
+    st.fixed_dictionaries({}, optional={
+        **{name: CONFIG_VALUE for name in (
+            "f0_hz", "g0", "feedback_r_ohm", "gain_r_ohm", "divider_r1_ohm", "divider_r2_ohm",
+            "f_min_hz", "f_max_hz", "spacing", "sigma_rel", "steps_per_period",
+            "steps_per_tau", "seed", "bogus")},
+        "n_points": POINTS,
+    }).map(lambda fields: json.dumps(fields).encode()),
+)
+
+
+@st.composite
+def input_bytes(draw, command):
+    """Raw bytes, rows of generated fields, or a well-formed file: a sampled
+    single-pole roll-off with alternating relative noise for a sweep, or
+    positive values for a batch."""
+    kind = draw(st.sampled_from(["raw", "rows", "model"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=120))
+    if command == "batch":
+        header = "sample_id,f0_hz"
+        if kind == "model":
+            values = draw(st.lists(st.floats(1e6, 1e9), min_size=1, max_size=30))
+            rows = [f"d{k},{value!r}" for k, value in enumerate(values)]
+        else:
+            rows = draw(st.lists(st.tuples(st.text(max_size=4), NUMBER.map(repr))
+                                 .map(",".join), max_size=12))
+    else:
+        header = "frequency_hz,gain"
+        if kind == "model":
+            freqs = sorted(draw(st.lists(st.floats(1.0, 1e9), min_size=3, max_size=12,
+                                         unique=True)))
+            g0, fc = draw(st.floats(1.0, 1e4)), draw(st.floats(1e2, 1e10))
+            noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.5]))
+            rows = [f"{f!r},{g0 / math.sqrt(1.0 + (f / fc) ** 2) * (1.0 + noise * (-1) ** k)!r}"
+                    for k, f in enumerate(freqs)]
+        else:
+            rows = draw(st.lists(st.tuples(NUMBER.map(repr), NUMBER.map(repr))
+                                 .map(",".join), max_size=12))
+    return "\n".join([header, *rows]).encode()
+
+
+@st.composite
+def cli_call(draw):
+    """``(argv, files)``: a generated command line and the files it reads."""
+    command = draw(st.sampled_from(["synth", "mc", "fit", "quick", "batch"]))
+    files = {}
+    if command in ("synth", "mc"):
+        argv = [command, draw(OUTPUT)]
+        files["in.csv"] = b"frequency_hz,gain\n"  # so that in.csv/out.csv lies under a file
+        if command == "mc":
+            argv += ["--trials", str(draw(st.integers(0, 5))),
+                     "--corr-threshold", repr(draw(NUMBER))]
+        if draw(st.booleans()):
+            files["run.json"] = draw(CONFIG)
+            argv += ["--config", "run.json"]
+        flags = draw(st.dictionaries(
+            st.sampled_from(["--noise", "--fmin", "--fmax", "--R", "--r"]), NUMBER, max_size=3))
+        for flag, value in flags.items():
+            argv += [flag, repr(value)]
+        if draw(st.booleans()):
+            argv += ["--points", str(draw(POINTS))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(-1, 2**70)))]
+        if draw(st.booleans()):
+            argv += ["--spacing", draw(st.sampled_from(["linear", "log", "cubic"]))]
+        return argv, files
+    files["in.csv"] = draw(input_bytes(command))
+    argv = [command, "in.csv"]
+    if command != "batch" and draw(st.booleans()):
+        argv += ["--R", repr(draw(NUMBER)), "--r", repr(draw(NUMBER))]
+    if command == "quick":
+        if draw(st.booleans()):
+            argv += ["--n", repr(draw(NUMBER))]
+        argv += ["--baseline", draw(st.sampled_from(["first", "low_decile"]))]
+    elif draw(st.booleans()):
+        if command == "fit" and draw(st.booleans()):
+            argv.append("--weighted")
+        argv += ["--plot-data", draw(PLOT_DIR)]
+    return argv, files
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                   HealthCheck.too_slow])
+@given(call=cli_call())
+def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
+    argv, files = call
+    runner = CliRunner()
+    # warnings are errors inside the run only: a leaked one ends it with exit 1
+    with runner.isolated_filesystem(temp_dir=tmp_path), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        start = time.perf_counter()
+        result = runner.invoke(main, argv)
+        elapsed = time.perf_counter() - start
+    assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.exception, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    if result.exit_code in (3, 4):
+        assert result.stderr.splitlines()[-1].startswith("error: ")
+    assert elapsed < BUDGET_S

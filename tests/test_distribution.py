@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opampfit import (
     NormalityFit,
@@ -50,6 +52,15 @@ class TestBatchStats:
     def test_degenerate_batch(self):
         _, stddev = batch_stats([5.0, 5.0, 5.0])
         assert stddev == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_samples_have_no_spread_whatever_the_mean_rounding(self):
+        # five copies of this value do not average back to it exactly
+        value = 429496730.4095121
+        mean, stddev = batch_stats([value] * 5)
+        assert mean != value and stddev == 0.0
+        with pytest.raises(ValueError, match="zero"):
+            analyze_batch([value] * 5)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -191,3 +202,22 @@ class TestNormalityFitEstimator:
         dist = analyze_batch([1.0, 2.0, 3.0], ids=("a", "b", "c"))
         assert dist.ids == ("a", "b", "c")
         assert dist.n == 3
+
+
+# Whole-Hz values in kHz steps: every sum of them is exact, so the mean is the
+# same bit-for-bit in any order and only the sum of squares may round apart.
+KHZ_BATCH = st.lists(st.integers(1, 10**6).map(lambda k: 1e3 * k), min_size=2, max_size=60)
+
+
+@settings(max_examples=60)
+@given(samples=KHZ_BATCH.filter(lambda s: min(s) < max(s)), data=st.data())
+def test_analyze_batch_ignores_sample_order(samples, data):
+    shuffled = data.draw(st.permutations(samples))
+    a, b = analyze_batch(samples), analyze_batch(shuffled)
+    assert a.n == b.n and a.mean_hz == b.mean_hz
+    assert b.stddev_hz == pytest.approx(a.stddev_hz, rel=1e-12)
+    np.testing.assert_allclose(b.ecdf_x, a.ecdf_x, rtol=0, atol=1e-9)
+    assert np.array_equal(b.ecdf_p, a.ecdf_p)
+    assert b.kolmogorov_d == pytest.approx(a.kolmogorov_d, abs=1e-9)
+    assert b.kolmogorov_d_onesided == pytest.approx(a.kolmogorov_d_onesided, abs=1e-9)
+    assert b.cdf_corr == pytest.approx(a.cdf_corr, abs=1e-9)

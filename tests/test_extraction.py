@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opampfit import (
     CalibrationWarning,
@@ -187,10 +189,12 @@ class TestFitInvariants:
         assert r2.f0_hz == pytest.approx(1e3 * r1.f0_hz, rel=1e-12)
         assert r2.corr == pytest.approx(r1.corr, abs=1e-12)
 
-    def test_gain_scale_sensitivity(self):
+    @settings(max_examples=30)
+    @given(c=st.floats(0.05, 20.0), f0=st.floats(1e7, 1e9))
+    @example(c=0.8, f0=39.6e6)
+    def test_gain_scale_sensitivity(self, c, f0):
         # calibrated gain is required: scaling y by c scales f0 by c
-        c = 0.8
-        base = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64, with_meta=False)
+        base = synthetic_record(f0, 1989.0, 20.1, 1e4, 2e6, 64, with_meta=False)
         scaled = SweepRecord(base.frequency_hz, base.gain * c)
         r1, r2 = fit_f0(base), fit_f0(scaled)
         assert r2.slope == pytest.approx(r1.slope / c**2, rel=1e-12)

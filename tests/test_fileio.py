@@ -141,6 +141,38 @@ class TestBatchFile:
         with pytest.raises(ValueError):
             write_batch_file(tmp_path / "b.csv", ["a"], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", ["", "#a", "a,b", "a\rb", "a\nb", " a", "a\t", "\xa0a"])
+    def test_id_that_would_not_read_back_is_refused(self, tmp_path, bad):
+        path = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match="text field") as excinfo:
+            write_batch_file(path, [bad, "b"], [1.0, 2.0])
+        assert repr(bad) in str(excinfo.value)
+        assert not path.exists()
+
+    def test_duplicate_id_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate sample id 'a'"):
+            write_batch_file(tmp_path / "b.csv", ["a", "b", "a"], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_value_that_would_not_read_back_is_refused(self, tmp_path, bad):
+        path = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match="positive and finite"):
+            write_batch_file(path, ["a", "b"], [1.0, bad])
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["seed = 1", "# a\nb", "# a\r", ""])
+@pytest.mark.parametrize("write", ["sweep", "batch"])
+def test_comment_that_would_not_read_back_is_refused(tmp_path, bad, write):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="comment") as excinfo:
+        if write == "sweep":
+            write_sweep_file(path, sample_record(), ["# ok", bad])
+        else:
+            write_batch_file(path, ["a"], [1.0], ["# ok", bad])
+    assert repr(bad) in str(excinfo.value)
+    assert not path.exists()
+
 
 # Text built from the characters of the two formats reaches the row checks
 # far more often than raw bytes, which rarely even decode.
@@ -190,16 +222,30 @@ def test_sweep_round_trip_is_byte_exact(tmp_path, freqs, gains, comments):
     assert path.read_bytes() == first
 
 
-@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def reads_back(sample_id):
+    """The documented rule for a sample id the batch reader returns as written."""
+    return (sample_id != "" and not sample_id.startswith("#")
+            and sample_id == sample_id.strip() and not set(",\r\n") & set(sample_id))
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    ids=st.lists(st.text("abcXYZ0123456789_-.", min_size=1, max_size=8),
-                 min_size=1, max_size=20, unique=True),
+    ids=st.lists(st.one_of(st.text(max_size=8), st.text("abcXYZ0123456789_-.", min_size=1)),
+                 min_size=1, max_size=20),
     values=st.lists(POSITIVE, min_size=20, max_size=20),
     comments=COMMENTS,
 )
 def test_batch_round_trip_is_byte_exact(tmp_path, ids, values, comments):
+    # the writer refuses exactly the ids the reader cannot return as written
     path = tmp_path / "batch.csv"
-    write_batch_file(path, ids, values[: len(ids)], comments)
+    path.unlink(missing_ok=True)
+    try:
+        write_batch_file(path, ids, values[: len(ids)], comments)
+    except ValueError:
+        assert not all(map(reads_back, ids)) or len(set(ids)) < len(ids)
+        assert not path.exists()
+        return
+    assert all(map(reads_back, ids)) and len(set(ids)) == len(ids)
     first = path.read_bytes()
     got_ids, got_values, got_comments = read_batch_file(path)
     assert (got_ids, got_comments) == (ids, comments)
