@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from .circuit import Topology
-from .distribution import analyze_batch, batch_stats, normal_reference_cdf
+from .distribution import _ZeroSpreadError, analyze_batch, batch_stats, normal_reference_cdf
 from .extraction import CalibrationWarning, FitError, QuickCrossoverFit, fit_f0
 from .fileio import (
     ParseError,
@@ -223,17 +223,19 @@ def batch(batch_path, plot_dir):
     """Distribution report over a batch of fitted f0 values."""
     ids, values, _ = read_batch_file(batch_path)
     try:
-        mean, stddev = batch_stats(values)
+        dist = analyze_batch(values, ids=tuple(ids))
+        mean, stddev = dist.mean_hz, dist.stddev_hz
+    except _ZeroSpreadError as err:
+        dist, mean, stddev = None, err.mean, 0.0
     except ValueError as err:
         _fail(EXIT_NUMERIC, str(err))
     click.echo(f"n = {len(values)}")
     click.echo(f"mean_hz = {mean:.6g}")
     click.echo(f"mean_mhz = {mean / 1e6:.6g}")
     click.echo(f"stddev_hz = {stddev:.6g}")
-    if stddev == 0.0:
+    if dist is None:
         click.echo("degenerate batch: zero spread, no ECDF or normality statistics")
         return
-    dist = analyze_batch(values, ids=tuple(ids))
     click.echo(f"stddev_over_mean_pct = {100.0 * dist.relative_spread:.6g}")
     click.echo(f"kolmogorov_d = {dist.kolmogorov_d:.6g}")
     click.echo(f"kolmogorov_d_onesided = {dist.kolmogorov_d_onesided:.6g}")
@@ -258,10 +260,15 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
     """Monte-Carlo harness: simulate the noiseless sweep once, then per
     trial redraw the gain noise with seed ``(seed, trial)`` and fit it;
     writes the fitted f0 values as a batch CSV (one row per trial).  The
-    result equals running synth+fit per trial, bit-for-bit."""
+    fit reads the amplifier's gain from its input, so a configured input
+    divider's attenuation is taken out first; without one the result
+    equals running synth+fit per trial, bit-for-bit."""
     cfg = _run_config(config_path, overrides)
     noise_model = cfg.noise()
-    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
+    topo = cfg.topology()
+    clean = run_sweep(cfg.device(), topo, cfg.sweep_plan(), None, cfg.sim_config())
+    if topo.divider is not None:
+        clean = replace(clean, gain=clean.gain / topo.divider_ratio)
     f0_values = np.empty(trials)
     corr_pass = 0
     try:

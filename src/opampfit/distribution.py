@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .base import ParamsMixin, as_float_array, check_is_fitted
 
@@ -20,8 +19,16 @@ SQRT2 = math.sqrt(2.0)
 
 
 def normal_reference_cdf(x) -> np.ndarray:
-    """Standard normal CDF, (1 + erf(x/sqrt(2)))/2."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / SQRT2))
+    """Standard normal CDF, (1 + erf(x/sqrt(2)))/2, of a scalar or an array
+    of any shape (a scalar for a scalar).
+
+    ``math.erf`` is applied per element: it agrees with
+    :func:`scipy.special.erf` to an ulp, and importing scipy.special would
+    cost every launch far more than the loop costs a 10,000-sample batch.
+    """
+    z = np.asarray(x, dtype=float) / SQRT2
+    erf = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    return 0.5 * (1.0 + erf)
 
 
 def _moments(samples) -> tuple[np.ndarray, float, float]:
@@ -44,10 +51,19 @@ def batch_stats(samples) -> tuple[float, float]:
     return mean, stddev
 
 
+class _ZeroSpreadError(ValueError):
+    """A batch whose samples are all equal: it has a ``mean`` but no
+    standardised axis."""
+
+    def __init__(self, mean: float):
+        super().__init__("batch standard deviation is zero; ECDF abscissa is undefined")
+        self.mean = mean
+
+
 def _standardised_ecdf(arr: np.ndarray, mean: float, stddev: float):
     """:func:`empirical_cdf` of a batch whose moments are already known."""
     if stddev == 0.0:
-        raise ValueError("batch standard deviation is zero; ECDF abscissa is undefined")
+        raise _ZeroSpreadError(mean)
     x = (np.sort(arr, kind="stable") - mean) / stddev
     n = arr.size
     p = np.arange(1, n + 1) / n

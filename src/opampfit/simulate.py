@@ -14,7 +14,9 @@ anything is computed.
 The time-domain trace API (:func:`simulate_steady_state`,
 :func:`lockin_demodulate`) evaluates that recurrence with
 :func:`scipy.signal.lfilter`, which reproduces the naive step-by-step
-trajectory at C speed.  The stimulus is periodic with a whole number ``N``
+trajectory at C speed.  This module's :func:`lfilter` imports it on first
+call, so only the trace API loads scipy and importing the package or the
+command line does not.  The stimulus is periodic with a whole number ``N``
 of steps per period, so the steady state is the periodic orbit of the map
 and is found exactly rather than by settling (the linear case of the
 shooting method, Aprille & Trick 1972): one period is integrated from rest
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .circuit import TWO_PI, DeviceParams, Topology
 from .extraction import SweepRecord
@@ -224,6 +225,15 @@ def _stable_affine(a: float, h, frequency):
             frequency=float(np.ravel(frequency)[k]),
         )
     return step
+
+
+def lfilter(b, a, x):
+    """:func:`scipy.signal.lfilter`, imported on first call: importing
+    scipy.signal takes longer than any command's own work, and only the
+    trace API needs it."""
+    from scipy.signal import lfilter as scipy_lfilter
+
+    return scipy_lfilter(b, a, x)
 
 
 def _integrate_linear(step, forcing_half_grid: np.ndarray, h: float) -> np.ndarray:

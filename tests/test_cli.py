@@ -26,7 +26,7 @@ from opampfit import (
     write_batch_file,
     write_sweep_file,
 )
-from opampfit import cli
+from opampfit import cli, distribution
 from opampfit.cli import main
 from opampfit.fileio import parse_metadata
 from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
@@ -314,6 +314,37 @@ class TestBatch:
         last_x, last_p = (float(t) for t in ecdf_lines[-1].split(","))
         assert last_p == 1.0
 
+    def test_reads_the_batch_moments_once(self, runner, tmp_path, monkeypatch):
+        def second_pass(*args, **kwargs):
+            raise AssertionError("batch computed its moments twice")
+
+        monkeypatch.setattr(cli, "batch_stats", second_pass)
+        path = tmp_path / "batch.csv"
+        write_batch_file(path, ["a", "b", "c"], [1e6, 2e6, 3e6])
+        result = runner.invoke(main, ["batch", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "cdf_corr = " in result.stdout
+
+    @pytest.mark.parametrize("size", [400, 10_000])
+    def test_report_matches_the_scipy_erf_reference(self, runner, tmp_path, monkeypatch, size):
+        # normal_reference_cdf uses math.erf, which may differ from scipy's
+        # erf in the last bit; the printed statistics must not
+        from scipy.special import erf
+
+        rng = np.random.default_rng(size)
+        path = tmp_path / "batch.csv"
+        write_batch_file(path, [str(i + 1) for i in range(size)],
+                         rng.normal(97.73e6, 1.62e6, size))
+        result = runner.invoke(main, ["batch", str(path)])
+        assert result.exit_code == 0, result.output
+        def scipy_normal_cdf(x):
+            return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / math.sqrt(2.0)))
+
+        monkeypatch.setattr(distribution, "normal_reference_cdf", scipy_normal_cdf)
+        reference = runner.invoke(main, ["batch", str(path)])
+        assert reference.exit_code == 0, reference.output
+        assert result.stdout == reference.stdout
+
     def test_parse_error_exit_code(self, runner, tmp_path):
         path = tmp_path / "batch.csv"
         path.write_text("sample_id,f0_hz\na,1e6\na,2e6\n", encoding="utf-8")
@@ -428,6 +459,20 @@ class TestMc:
         assert all(line.startswith(("warning: trial ", "error: ")) for line in lines)
         assert "CalibrationWarning:" not in result.stderr
         assert ".py:" not in result.stderr
+
+    def test_divider_is_taken_out_before_the_fit(self, runner, tmp_path):
+        # the sweep's gain is referred to the source, ahead of a 1/101
+        # divider; the fit must read the 39.6 MHz device behind it
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"f0_hz": 39.6e6, "g0": 2e5, "divider_r1_ohm": 1000.0,'
+                       ' "divider_r2_ohm": 10}', encoding="utf-8")
+        out = tmp_path / "mc.csv"
+        args = ["mc", str(out), "--config", str(cfg), "--trials", "5", "--points", "20",
+                "--noise", "1e-4", "--R", "1989", "--r", "20.1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert float(parse_report(result.stdout)["mean_f0_hz"]) == pytest.approx(39.6e6, rel=0.01)
+        assert "warning:" not in result.stderr
 
     def test_too_many_points_refused_before_simulating(self, runner, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):

@@ -181,6 +181,42 @@ class TestInvariants:
         assert 100.0 * dist.relative_spread == pytest.approx(1.66, abs=0.2)
 
 
+def scipy_normal_cdf(x):
+    """The scipy.special.erf form of the standard normal CDF."""
+    from scipy.special import erf
+
+    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / SQRT2))
+
+
+class TestNormalReferenceCdf:
+    def test_within_2_pow_minus_51_of_scipy_erf(self):
+        x = np.linspace(-40.0, 40.0, 200001)
+        np.testing.assert_allclose(normal_reference_cdf(x), scipy_normal_cdf(x),
+                                   rtol=0.0, atol=2.0**-51)
+
+    @pytest.mark.parametrize("x, shape", [
+        (0.3, ()),
+        (np.float64(-1.5), ()),
+        (np.array(0.7), ()),
+        (np.linspace(-2.0, 2.0, 6).reshape(2, 3), (2, 3)),
+        (np.empty(0), (0,)),
+        ([[1.0], [2.0]], (2, 1)),
+    ])
+    def test_keeps_shape_and_type(self, x, shape):
+        got, ref = normal_reference_cdf(x), scipy_normal_cdf(x)
+        assert type(got) is type(ref)
+        assert np.shape(got) == shape and np.asarray(got).dtype == np.float64
+        if shape == ():
+            assert type(got) is np.float64
+
+    def test_infinities_and_nan(self):
+        got = normal_reference_cdf(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+        assert normal_reference_cdf(math.inf) == 1.0
+        assert normal_reference_cdf(-math.inf) == 0.0
+        assert np.isnan(normal_reference_cdf(math.nan))
+
+
 class TestNormalityFitEstimator:
     def test_fit_exposes_attributes(self):
         rng = np.random.default_rng(43)
