@@ -93,13 +93,10 @@ class Topology:
     input; ``gain_r`` the resistor from the inverting input to ground
     (``math.inf`` marks it open).  Either ``feedback_r = 0`` or an open
     ``gain_r`` makes the circuit a unity-gain repeater, ``beta = 1``.
-    ``divider``, when given, is an ``(r1, r2)`` input attenuator placed ahead
-    of the amplifier, passing the fraction ``r2/(r1 + r2)`` of the stimulus.
     """
 
     feedback_r: float
     gain_r: float
-    divider: tuple[float, float] | None = None
 
     def __post_init__(self):
         feedback_r = float(self.feedback_r)
@@ -110,21 +107,13 @@ class Topology:
             raise ValueError(f"gain_r must be > 0 (math.inf = open), got {gain_r!r}")
         object.__setattr__(self, "feedback_r", feedback_r)
         object.__setattr__(self, "gain_r", gain_r)
-        if self.divider is not None:
-            r1, r2 = (float(v) for v in self.divider)
-            if not (r1 >= 0.0 and math.isfinite(r1)):
-                raise ValueError(f"divider r1 must be finite and >= 0, got {r1!r}")
-            if not (r2 > 0.0 and math.isfinite(r2)):
-                raise ValueError(f"divider r2 must be finite and > 0, got {r2!r}")
-            object.__setattr__(self, "divider", (r1, r2))
-        for name, ratio in (("feedback", self.beta), ("divider", self.divider_ratio)):
-            if not ratio > 0.0:  # the resistor sum overflowed or the ratio underflowed
-                raise ValueError(f"{name} ratio of {self!r} is not positive ({ratio!r})")
+        if not self.beta > 0.0:  # the resistor sum overflowed or the ratio underflowed
+            raise ValueError(f"feedback ratio of {self!r} is not positive ({self.beta!r})")
 
     @classmethod
-    def repeater(cls, divider: tuple[float, float] | None = None) -> "Topology":
+    def repeater(cls) -> "Topology":
         """Canonical unity-gain voltage follower."""
-        return cls(feedback_r=0.0, gain_r=math.inf, divider=divider)
+        return cls(feedback_r=0.0, gain_r=math.inf)
 
     @property
     def is_repeater(self) -> bool:
@@ -143,14 +132,6 @@ class Topology:
         if self.is_repeater:
             return 1.0
         return self.feedback_r / self.gain_r + 1.0
-
-    @property
-    def divider_ratio(self) -> float:
-        """Attenuation r2/(r1 + r2) of the input divider; 1 when absent."""
-        if self.divider is None:
-            return 1.0
-        r1, r2 = self.divider
-        return r2 / (r1 + r2)
 
 
 def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> complex:

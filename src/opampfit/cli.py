@@ -63,8 +63,6 @@ def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
     to run ``command`` again."""
     names = ("sigma_rel", "g0", "feedback_r_ohm", "gain_r_ohm", "n_points", "f_min_hz",
              "f_max_hz", "spacing", "steps_per_period", "steps_per_tau")
-    if cfg.divider_r1_ohm is not None:
-        names += ("divider_r1_ohm", "divider_r2_ohm")
     # str() of a float is its repr, the shortest form that reads back exactly
     return format_metadata({"generator": f"opampfit {command}", "seed": cfg.seed, **extra,
                             "truth_f0_hz": cfg.f0_hz, **{n: getattr(cfg, n) for n in names}})
@@ -260,15 +258,10 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
     """Monte-Carlo harness: simulate the noiseless sweep once, then per
     trial redraw the gain noise with seed ``(seed, trial)`` and fit it;
     writes the fitted f0 values as a batch CSV (one row per trial).  The
-    fit reads the amplifier's gain from its input, so a configured input
-    divider's attenuation is taken out first; without one the result
-    equals running synth+fit per trial, bit-for-bit."""
+    result equals running synth+fit per trial, bit-for-bit."""
     cfg = _run_config(config_path, overrides)
     noise_model = cfg.noise()
-    topo = cfg.topology()
-    clean = run_sweep(cfg.device(), topo, cfg.sweep_plan(), None, cfg.sim_config())
-    if topo.divider is not None:
-        clean = replace(clean, gain=clean.gain / topo.divider_ratio)
+    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
     f0_values = np.empty(trials)
     corr_pass = 0
     try:

@@ -179,15 +179,19 @@ class CrossoverFrequencyFit(ParamsMixin):
                 "(all points are far below the closed-loop corner frequency)"
             )
 
+        # refused before any attribute is set, so a failed fit leaves the
+        # estimator as it was
+        intercept_expected = _ideal_intercept(self.feedback_r, self.gain_r)
+        if intercept_expected == 0.0:
+            raise FitError("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
+                           "so the calibration cannot be checked")
+
         self.n_points_ = int(f.size)
         self.slope_ = float(slope)
         self.intercept_ = float(intercept)
         self.corr_ = float(corr)
         self.f0_hz_ = 1.0 / math.sqrt(slope)
-        self.intercept_expected_ = _ideal_intercept(self.feedback_r, self.gain_r)
-        if self.intercept_expected_ == 0.0:
-            raise FitError("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
-                           "so the calibration cannot be checked")
+        self.intercept_expected_ = intercept_expected
         if self.intercept_expected_ is not None:
             self.intercept_rel_dev_ = (
                 self.intercept_ - self.intercept_expected_

@@ -218,9 +218,9 @@ def parse_metadata(comments) -> dict[str, str]:
 
 
 def _config_value(name: str, annotation: str, value, allow_inf: bool):
-    """``value`` checked against its field's annotation (``int``, ``str``,
-    ``float`` or ``float | None``).  A field that allows infinity also takes
-    null, "inf" and "infinity" as ``math.inf``."""
+    """``value`` checked against its field's annotation (``int``, ``str`` or
+    ``float``).  A field that allows infinity also takes null, "inf" and
+    "infinity" as ``math.inf``."""
     if annotation == "str":
         if isinstance(value, str):
             return value
@@ -230,8 +230,6 @@ def _config_value(name: str, annotation: str, value, allow_inf: bool):
             return value
         expected = "an integer"
     else:
-        if value is None and annotation == "float | None":
-            return None
         if allow_inf and (value is None or (
                 isinstance(value, str) and value.lower() in ("inf", "infinity"))):
             return math.inf
@@ -251,8 +249,6 @@ class RunConfig:
     g0: float = math.inf
     feedback_r_ohm: float = 100.0
     gain_r_ohm: float = 1.0
-    divider_r1_ohm: float | None = None
-    divider_r2_ohm: float | None = None
     f_min_hz: float = 1.0e4
     f_max_hz: float = 1.0e5
     n_points: int = 512
@@ -302,11 +298,6 @@ class RunConfig:
                 build()
             except ValueError as err:
                 raise ValueError(f"invalid {label} configuration: {err}") from None
-        if (self.divider_r1_ohm is None) != (self.divider_r2_ohm is None):
-            raise ValueError(
-                "invalid topology configuration: divider_r1_ohm and divider_r2_ohm "
-                "must be given together"
-            )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"invalid seed: must be a non-negative integer, got {self.seed!r}")
 
@@ -314,10 +305,7 @@ class RunConfig:
         return DeviceParams(f0=self.f0_hz, g0=self.g0)
 
     def topology(self) -> Topology:
-        divider = None
-        if self.divider_r1_ohm is not None and self.divider_r2_ohm is not None:
-            divider = (self.divider_r1_ohm, self.divider_r2_ohm)
-        return Topology(feedback_r=self.feedback_r_ohm, gain_r=self.gain_r_ohm, divider=divider)
+        return Topology(feedback_r=self.feedback_r_ohm, gain_r=self.gain_r_ohm)
 
     def sweep_plan(self) -> SweepPlan:
         return SweepPlan(

@@ -32,10 +32,9 @@ orbit is exactly ``u_k = Im(U*exp(j*w*k*h))`` with
     U = G * (h/6)*(c1 + c2*exp(j*w*h/2) + c3*exp(j*w*h)) / (exp(j*w*h) - A)
 
 and the whole-period lock-in of that orbit returns ``|U|`` to rounding.  A
-simulated repeater is the same map at step ``h/2`` whose orbit is the
-amplifier's drive, so its factor multiplies in.  A sweep therefore costs a
-few array operations per point, whatever its step count; it is planned and
-checked exactly like the trace, drive-sample cap included.
+sweep therefore costs a few array operations per point, whatever its step
+count; it is planned and checked exactly like the trace, drive-sample cap
+included.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from .circuit import TWO_PI, DeviceParams, Topology
 from .extraction import SweepRecord
 
 
-# Largest drive array (half-grid samples, quarter-grid with a simulated
-# repeater) that one sweep point may allocate; larger plans are refused
-# before anything is allocated.
+# Largest drive array (half-grid samples, ``2*N + 1`` for ``N`` steps per
+# period) that one sweep point may allocate; larger plans are refused before
+# anything is allocated.
 MAX_DRIVE_SAMPLES = 2**23
 
 # Most points one sweep plan may hold; a plan is refused before its
@@ -295,7 +294,6 @@ def _plan_window(
     topo: Topology,
     frequency,
     cfg: SimConfig,
-    repeater_dev: DeviceParams | None,
 ) -> np.ndarray:
     """RK4 steps per stimulus period at each ``frequency`` (a scalar or an
     ascending array; the result is always 1-D), refused with
@@ -310,19 +308,15 @@ def _plan_window(
         n = np.full_like(period, cfg.steps_per_period)
         if cfg.steps_per_tau > 0:
             tau_cap = 1.0 / np.float64(_loop_rate(dev, topo))
-            if repeater_dev is not None:
-                # repeater integrates at half step, so it tolerates 2x its tau
-                tau_cap = min(tau_cap, 2.0 / _loop_rate(repeater_dev, Topology.repeater()))
             n = np.maximum(n, np.ceil(cfg.steps_per_tau * period / tau_cap))
-    samples_per_step = 4 if repeater_dev is not None else 2
     # compared as float steps, so a plan too large for an integer is refused too
-    over = np.flatnonzero(~(n <= (MAX_DRIVE_SAMPLES - 1) / samples_per_step))
+    over = np.flatnonzero(~(n <= (MAX_DRIVE_SAMPLES - 1) / 2))
     if over.size:
         k = over[0]
         steps = float(n[k])  # may be too large for an integer, or infinite
         raise SimulationError(
             f"at {frequency[k]:.6g} Hz one stimulus period needs {steps:.16g} RK4 steps, a "
-            f"{samples_per_step * steps + 1:.16g}-sample drive; the per-point limit is "
+            f"{2 * steps + 1:.16g}-sample drive; the per-point limit is "
             f"{MAX_DRIVE_SAMPLES} samples (raise the lowest sweep frequency)",
             step_index=0,
             frequency=float(frequency[k]),
@@ -344,36 +338,22 @@ def simulate_steady_state(
     topo: Topology,
     stim: Stimulus,
     cfg: SimConfig | None = None,
-    repeater_dev: DeviceParams | None = None,
 ) -> TimeSeries:
     """Drive the closed loop with a sinusoid and record one period of its
     periodic steady state.
 
     The output is the exact periodic orbit of the RK4 map (see the module
     docstring): ``N + 1`` samples spanning one stimulus period with the
-    endpoint included, so the last sample repeats the first.  A configured
-    input divider attenuates the stimulus ahead of the amplifier.  The
-    source repeater stage is an ideal pass-through unless ``repeater_dev`` is
-    given, in which case it is simulated as a unity-gain loop around that
-    device, and its own one-period orbit is the amplifier's periodic drive.
+    endpoint included, so the last sample repeats the first.
     """
     cfg = cfg or SimConfig()
-    n = int(_plan_window(dev, topo, stim.frequency, cfg, repeater_dev)[0])
+    n = int(_plan_window(dev, topo, stim.frequency, cfg)[0])
     h = 1.0 / (stim.frequency * n)
 
     try:
-        if repeater_dev is None:
-            drive = _sine_period(stim.amplitude, stim.frequency, h / 2.0, 2 * n + 1)
-        else:
-            # unity-gain source follower integrated at half step; its states
-            # land exactly on the amplifier's half grid
-            a_rep = -_loop_rate(repeater_dev, Topology.repeater())
-            rep_step = _stable_affine(a_rep, h / 2.0, stim.frequency)
-            raw = _sine_period(stim.amplitude, stim.frequency, h / 4.0, 4 * n + 1)
-            raw /= repeater_dev.tau0
-            drive = _integrate_linear(rep_step, raw, h / 2.0)
+        drive = _sine_period(stim.amplitude, stim.frequency, h / 2.0, 2 * n + 1)
         amp_step = _stable_affine(-_loop_rate(dev, topo), h, stim.frequency)
-        drive *= topo.divider_ratio / dev.tau0
+        drive *= 1.0 / dev.tau0
         u = _integrate_linear(amp_step, drive, h)
     except SimulationError as err:
         raise SimulationError(str(err), err.step_index, frequency=stim.frequency) from None
@@ -453,7 +433,6 @@ def run_sweep(
     noise: NoiseModel | None = None,
     cfg: SimConfig | None = None,
     seed: int | tuple[int, ...] = 0,
-    repeater_dev: DeviceParams | None = None,
 ) -> SweepRecord:
     """Simulate a frequency sweep and record end-to-end gain at each point.
 
@@ -474,13 +453,10 @@ def run_sweep(
 
     freqs = plan.frequencies()
     with np.errstate(over="ignore"):  # f*n overflows only for a step refused as unstable
-        h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg, repeater_dev))
-    scale = topo.divider_ratio / dev.tau0
-    if repeater_dev is not None:
-        # the repeater's orbit at half step is the amplifier's drive
-        a_rep = -_loop_rate(repeater_dev, Topology.repeater())
-        scale = scale * np.abs(_orbit_response(a_rep, h / 2.0, freqs)) / repeater_dev.tau0
-    gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * scale
+        h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg))
+    # times the rounded 1/tau0, as the trace's drive is: dividing by tau0
+    # instead moves the last bit of every gain
+    gains =np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
     record = SweepRecord(
         frequency_hz=freqs,
         gain=gains,

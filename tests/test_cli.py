@@ -111,6 +111,17 @@ class TestSynth:
         assert result.exit_code == 3
         assert "unknown config field" in result.stderr
 
+    @pytest.mark.parametrize("command", ["synth", "mc"])
+    @pytest.mark.parametrize("field", ["divider_r1_ohm", "divider_r2_ohm"])
+    def test_removed_divider_fields_are_unknown(self, runner, tmp_path, command, field):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"{field}": 10.0}}', encoding="utf-8")
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [command, str(out), "--config", str(cfg)])
+        assert_clean_failure(result, 3)
+        assert result.stderr.splitlines() == [f"error: unknown config field {field!r}"]
+        assert not out.exists()
+
     def test_point_over_drive_cap_is_numeric_error(self, runner, tmp_path):
         # 16 steps per closed-loop time constant put one 23 Hz period of the
         # default loop at ~4.2 M steps: a drive just over the per-point cap
@@ -459,20 +470,6 @@ class TestMc:
         assert all(line.startswith(("warning: trial ", "error: ")) for line in lines)
         assert "CalibrationWarning:" not in result.stderr
         assert ".py:" not in result.stderr
-
-    def test_divider_is_taken_out_before_the_fit(self, runner, tmp_path):
-        # the sweep's gain is referred to the source, ahead of a 1/101
-        # divider; the fit must read the 39.6 MHz device behind it
-        cfg = tmp_path / "run.json"
-        cfg.write_text('{"f0_hz": 39.6e6, "g0": 2e5, "divider_r1_ohm": 1000.0,'
-                       ' "divider_r2_ohm": 10}', encoding="utf-8")
-        out = tmp_path / "mc.csv"
-        args = ["mc", str(out), "--config", str(cfg), "--trials", "5", "--points", "20",
-                "--noise", "1e-4", "--R", "1989", "--r", "20.1"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
-        assert float(parse_report(result.stdout)["mean_f0_hz"]) == pytest.approx(39.6e6, rel=0.01)
-        assert "warning:" not in result.stderr
 
     def test_too_many_points_refused_before_simulating(self, runner, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):

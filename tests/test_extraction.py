@@ -329,6 +329,25 @@ class TestEstimatorApi:
         with pytest.raises(NotFittedError):
             CrossoverFrequencyFit().predict([1e4, 2e4])
 
+    def test_failed_fit_leaves_estimator_unfitted(self):
+        # (R/r + 1)^-2 = 1e-400 underflows, which the fit refuses
+        record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
+        est = CrossoverFrequencyFit(feedback_r=1e200, gain_r=1.0)
+        with pytest.raises(FitError, match="underflows"):
+            est.fit(record.frequency_hz, record.gain)
+        with pytest.raises(NotFittedError):
+            est.to_result()
+
+    def test_failed_refit_keeps_the_previous_fit(self):
+        est = CrossoverFrequencyFit(feedback_r=1989.0, gain_r=20.1)
+        first = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
+        before = est.fit(first.frequency_hz, first.gain).to_result()
+        est.set_params(feedback_r=1e200, gain_r=1.0)
+        second = synthetic_record(97.73e6, 100.0, 1.0, 1e4, 2e6, 64)
+        with pytest.raises(FitError, match="underflows"):
+            est.fit(second.frequency_hz, second.gain)
+        assert est.to_result() == before
+
     def test_quick_estimator_exposes_bracket(self):
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 64, with_meta=False)
         est = QuickCrossoverFit(n=2.0).fit(record.frequency_hz, record.gain)

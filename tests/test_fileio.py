@@ -285,8 +285,9 @@ class TestRunConfig:
         assert cfg.seed == 9
 
     def test_unknown_field_named(self):
-        with pytest.raises(ValueError, match="unknown config field 'frequency'"):
-            RunConfig.from_mapping({"frequency": 1.0})
+        for field in ("frequency", "divider_r1_ohm", "divider_r2_ohm"):
+            with pytest.raises(ValueError, match=f"unknown config field '{field}'"):
+                RunConfig.from_mapping({field: 1.0})
 
     def test_bad_type_named(self):
         with pytest.raises(ValueError, match="f0_hz"):
@@ -301,23 +302,14 @@ class TestRunConfig:
             RunConfig.from_mapping({"f0_hz": "inf"})
 
     def test_null_means_infinite_or_absent_by_field(self):
-        cfg = RunConfig.from_mapping(
-            {"g0": None, "gain_r_ohm": "Infinity", "divider_r1_ohm": None}
-        )
+        cfg = RunConfig.from_mapping({"g0": None, "gain_r_ohm": "Infinity"})
         assert math.isinf(cfg.g0) and math.isinf(cfg.gain_r_ohm)
-        assert cfg.divider_r1_ohm is None
 
     def test_field_level_invariant_messages(self):
         with pytest.raises(ValueError, match="sweep plan"):
             RunConfig.from_mapping({"n_points": 2})
         with pytest.raises(ValueError, match="device"):
             RunConfig.from_mapping({"f0_hz": -1.0})
-        with pytest.raises(ValueError, match="divider"):
-            RunConfig.from_mapping({"divider_r1_ohm": 1000.0})
-
-    def test_divider_configuration(self):
-        cfg = RunConfig.from_mapping({"divider_r1_ohm": 1000.0, "divider_r2_ohm": 10.0})
-        assert cfg.topology().divider_ratio == pytest.approx(10.0 / 1010.0, rel=1e-15)
 
     def test_invalid_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -32,10 +32,10 @@ from opampfit.simulate import MAX_SWEEP_POINTS
 TWO_PI = 2.0 * math.pi
 
 
-def simulated_gain(dev, topo, f, cfg=None, repeater_dev=None):
+def simulated_gain(dev, topo, f, cfg=None):
     """End-to-end amplitude ratio, demodulating both stimulus and output."""
     stim = Stimulus(amplitude=1.0, frequency=f)
-    out = simulate_steady_state(dev, topo, stim, cfg, repeater_dev=repeater_dev)
+    out = simulate_steady_state(dev, topo, stim, cfg)
     ref = TimeSeries(dt=out.dt, samples=np.sin(TWO_PI * f * out.times))
     return lockin_demodulate(out, f) / lockin_demodulate(ref, f)
 
@@ -118,15 +118,6 @@ class TestSimulateSteadyState:
         oracle = abs(closed_loop_gain(dev, topo, 1e3))
         assert simulated_gain(dev, topo, 1e3) == pytest.approx(oracle, rel=1e-3)
 
-    def test_divider_chain_end_to_end(self):
-        # 1 kOhm / 10 Ohm divider ahead of a gain-101 amplifier: net gain ~ 1
-        dev = DeviceParams(f0=9.773e7)
-        topo = Topology(feedback_r=1000.0, gain_r=10.0, divider=(1000.0, 10.0))
-        gain = simulated_gain(dev, topo, 1e3)
-        oracle = topo.divider_ratio * abs(closed_loop_gain(dev, topo, 1e3))
-        assert gain == pytest.approx(oracle, rel=1e-3)
-        assert gain == pytest.approx(1.0, rel=1e-2)
-
     def test_overflow_reports_step_index(self):
         # without the time-constant refinement the step is 9.5x the loop tau:
         # RK4 is unstable there and the state must blow up detectably
@@ -136,18 +127,6 @@ class TestSimulateSteadyState:
         with pytest.raises(SimulationError) as excinfo:
             simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg)
         assert excinfo.value.step_index > 0
-
-    def test_explicit_repeater_stage(self):
-        # a 100x-faster source follower barely loads the chain; the product of
-        # the two closed-form responses is the oracle
-        dev = DeviceParams(f0=5e6)
-        rep = DeviceParams(f0=5e8)
-        topo = Topology(feedback_r=1000.0, gain_r=10.0)
-        f = 2e4
-        oracle = abs(closed_loop_gain(rep, Topology.repeater(), f)) * abs(
-            closed_loop_gain(dev, topo, f)
-        )
-        assert simulated_gain(dev, topo, f, repeater_dev=rep) == pytest.approx(oracle, rel=1e-3)
 
     def test_slow_loop_near_corner_matches_closed_form(self):
         # at f >> f_corner the loop decays by only exp(-1.6) per period, so
@@ -183,17 +162,16 @@ class TestSimulateInvariants:
     def test_fast_path_matches_stepwise_rk4(self):
         # the lfilter recurrence must reproduce the naive per-step trajectory
         dev = DeviceParams(f0=1e5, g0=1e4)
-        topo = Topology(feedback_r=30.0, gain_r=10.0, divider=(100.0, 50.0))
+        topo = Topology(feedback_r=30.0, gain_r=10.0)
         f = 1e4
         cfg = SimConfig(steps_per_period=256, steps_per_tau=16)
         out = simulate_steady_state(dev, topo, Stimulus(1.0, f), cfg)
 
         n = round(1.0 / (f * out.dt))
         h = out.dt
-        drive = topo.divider_ratio
 
         def rhs(t, u):
-            return closed_loop_ode_rhs(dev, topo, drive * math.sin(TWO_PI * f * t), u)
+            return closed_loop_ode_rhs(dev, topo, math.sin(TWO_PI * f * t), u)
 
         u, t = 0.0, 0.0
         trace = []
@@ -205,38 +183,32 @@ class TestSimulateInvariants:
         np.testing.assert_allclose(out.samples, np.array(trace), rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "f0, topo, f, rep_f0",
+        "f0, topo, f",
         [
-            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), 1e4, None),
-            (1e7, Topology.repeater(), 4e7, None),
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), 1e4),
+            (1e7, Topology.repeater(), 4e7),
             # the loop decays by only exp(-0.06) per period here
-            (1e6, Topology.repeater(), 1e8, None),
-            (5e6, Topology(feedback_r=100.0, gain_r=10.0), 1e5, 5e7),
+            (1e6, Topology.repeater(), 1e8),
         ],
     )
-    def test_trace_is_one_period_of_the_orbit(self, f0, topo, f, rep_f0):
-        rep = None if rep_f0 is None else DeviceParams(f0=rep_f0)
-        out = simulate_steady_state(DeviceParams(f0=f0), topo, Stimulus(1.0, f), repeater_dev=rep)
+    def test_trace_is_one_period_of_the_orbit(self, f0, topo, f):
+        out = simulate_steady_state(DeviceParams(f0=f0), topo, Stimulus(1.0, f))
         assert (out.samples.size - 1) * out.dt * f == pytest.approx(1.0, rel=1e-12)
         assert out.samples[-1] == pytest.approx(out.samples[0], rel=1e-12)
 
-    @pytest.mark.parametrize("stage", ["amplifier", "repeater"])
-    def test_unstable_step_is_refused(self, stage):
-        # with the time-constant refinement off, the step is ~5000 repeater
-        # time constants (repeater case) or ~10 amplifier ones: |A| >> 1
+    def test_unstable_step_is_refused(self):
+        # with the time-constant refinement off, the step is ~10 loop time
+        # constants: |A| >> 1
         cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
-        if stage == "amplifier":
-            dev, rep = DeviceParams(f0=1e8), None
-        else:
-            dev, rep = DeviceParams(f0=1e4), DeviceParams(f0=1e9)
+        dev = DeviceParams(f0=1e8)
         with pytest.raises(SimulationError, match="unstable") as excinfo:
-            simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg, repeater_dev=rep)
+            simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg)
         assert excinfo.value.step_index > 0
         assert excinfo.value.frequency == 1e4
 
 
-def legacy_sweep_gain(dev, topo, f, repeater_dev=None):
+def legacy_sweep_gain(dev, topo, f):
     """Sweep gain by the settle-then-measure method: integrate RK4 from rest
     through max(5, ceil(10 tau f)) settling periods and 4 measured ones, and
     divide the lock-in amplitudes of the last 4 output periods and of the
@@ -261,19 +233,12 @@ def legacy_sweep_gain(dev, topo, f, repeater_dev=None):
         return np.concatenate(([0.0], lfilter([1.0], [1.0, -growth], forcing)))
 
     tau_cap = 1.0 / rate(dev, topo)
-    if repeater_dev is not None:
-        tau_cap = min(tau_cap, 2.0 / rate(repeater_dev, Topology.repeater()))
     n = max(256, math.ceil(16 * (1.0 / f) / tau_cap))
     settle = max(5, math.ceil(10.0 * f / rate(dev, topo)))
     steps = (settle + 4) * n
     h = 1.0 / (f * n)
-    if repeater_dev is None:
-        drive = np.sin(TWO_PI * f * np.arange(2 * steps + 1) * (h / 2.0))
-    else:
-        raw = np.sin(TWO_PI * f * np.arange(4 * steps + 1) * (h / 4.0))
-        drive = rk4_from_rest(-rate(repeater_dev, Topology.repeater()),
-                              raw / repeater_dev.tau0, h / 2.0)
-    u = rk4_from_rest(-rate(dev, topo), topo.divider_ratio / dev.tau0 * drive, h)
+    drive = np.sin(TWO_PI * f * np.arange(2 * steps + 1) * (h / 2.0))
+    u = rk4_from_rest(-rate(dev, topo), drive / dev.tau0, h)
 
     t = np.arange(4 * n + 1) * h
 
@@ -350,14 +315,6 @@ class TestRunSweep:
             f = float(record.frequency_hz[k])
             assert record.gain[k] == pytest.approx(legacy_sweep_gain(dev, topo, f), rel=1e-12)
 
-    def test_repeater_gains_match_settle_then_measure(self):
-        dev = DeviceParams(f0=5e6)
-        rep = DeviceParams(f0=5e7)
-        topo = Topology(feedback_r=100.0, gain_r=10.0)
-        record = run_sweep(dev, topo, SweepPlan(1e5, 1.2e5, 3), repeater_dev=rep)
-        oracle = [legacy_sweep_gain(dev, topo, float(f), rep) for f in record.frequency_hz]
-        np.testing.assert_allclose(record.gain, oracle, rtol=1e-12, atol=0.0)
-
     def test_simulation_error_carries_frequency(self):
         dev = DeviceParams(f0=1e8)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
@@ -430,21 +387,21 @@ class TestAddGainNoise:
             assert np.array_equal(shuffled[trial], in_order)
 
 
-def trace_sweep(dev, topo, plan, cfg=None, repeater_dev=None):
+def trace_sweep(dev, topo, plan, cfg=None):
     """Sweep gains read off the time-domain trace API, point by point."""
     gains = []
     for f in plan.frequencies():
-        out = simulate_steady_state(dev, topo, Stimulus(1.0, float(f)), cfg, repeater_dev)
+        out = simulate_steady_state(dev, topo, Stimulus(1.0, float(f)), cfg)
         gains.append(lockin_demodulate(out, float(f)))
     return np.array(gains)
 
 
-def assert_same_sweep_error(dev, topo, plan, cfg=None, repeater_dev=None):
+def assert_same_sweep_error(dev, topo, plan, cfg=None):
     """run_sweep refuses ``plan`` with the error of its first failing point."""
     with pytest.raises(SimulationError) as expected:
-        trace_sweep(dev, topo, plan, cfg, repeater_dev)
+        trace_sweep(dev, topo, plan, cfg)
     with pytest.raises(SimulationError) as got:
-        run_sweep(dev, topo, plan, cfg=cfg, repeater_dev=repeater_dev)
+        run_sweep(dev, topo, plan, cfg=cfg)
     assert str(got.value) == str(expected.value)
     assert got.value.frequency == expected.value.frequency
     assert got.value.step_index == expected.value.step_index
@@ -452,23 +409,21 @@ def assert_same_sweep_error(dev, topo, plan, cfg=None, repeater_dev=None):
 
 class TestSweepMatchesTrace:
     @pytest.mark.parametrize(
-        "f0, topo, plan, rep_f0",
+        "f0, topo, plan",
         [
-            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(), None),
-            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(1e4, 1e6, 512), None),
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan()),
+            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(1e4, 1e6, 512)),
             (39.6e6, Topology(feedback_r=1989.0, gain_r=20.1),
-             SweepPlan(1e3, 1e7, 64, spacing="log"), None),
-            (5e6, Topology(feedback_r=100.0, gain_r=10.0), SweepPlan(1e5, 1.2e5, 3), 5e7),
+             SweepPlan(1e3, 1e7, 64, spacing="log")),
         ],
-        ids=["default", "criterion-3", "log", "repeater"],
+        ids=["default", "criterion-3", "log"],
     )
-    def test_every_point_equals_the_trace_lockin(self, f0, topo, plan, rep_f0):
+    def test_every_point_equals_the_trace_lockin(self, f0, topo, plan):
         dev = DeviceParams(f0=f0)
-        rep = None if rep_f0 is None else DeviceParams(f0=rep_f0)
-        record = run_sweep(dev, topo, plan, repeater_dev=rep)
+        record = run_sweep(dev, topo, plan)
         np.testing.assert_array_equal(record.frequency_hz, plan.frequencies())
         np.testing.assert_allclose(
-            record.gain, trace_sweep(dev, topo, plan, repeater_dev=rep), rtol=1e-12, atol=0.0
+            record.gain, trace_sweep(dev, topo, plan), rtol=1e-12, atol=0.0
         )
 
     @settings(max_examples=25)
@@ -477,55 +432,47 @@ class TestSweepMatchesTrace:
         g0=st.one_of(st.just(math.inf), st.floats(1e3, 1e7)),
         feedback_r=st.floats(0.0, 1e4),
         gain_r=st.floats(1.0, 1e3),
-        divider=st.one_of(st.none(), st.tuples(st.floats(1.0, 1e4), st.floats(1.0, 1e4))),
-        # log10 of the lowest sweep frequency over the fastest loop's corner
+        # log10 of the lowest sweep frequency over the loop's corner
         corner_exp=st.floats(-2.0, 1.0),
         span=st.floats(1e-3, 10.0),
         n_points=st.integers(3, 5),
         spacing=st.sampled_from(["linear", "log"]),
         steps_per_period=st.integers(64, 512),
         steps_per_tau=st.integers(0, 32),
-        rep_ratio=st.one_of(st.none(), st.floats(0.5, 10.0)),
     )
     def test_sweep_equals_trace_property(
-        self, f0, g0, feedback_r, gain_r, divider, corner_exp, span, n_points, spacing,
-        steps_per_period, steps_per_tau, rep_ratio,
+        self, f0, g0, feedback_r, gain_r, corner_exp, span, n_points, spacing,
+        steps_per_period, steps_per_tau,
     ):
         dev = DeviceParams(f0=f0, g0=g0)
-        topo = Topology(feedback_r=feedback_r, gain_r=gain_r, divider=divider)
-        rep = None if rep_ratio is None else DeviceParams(f0=rep_ratio * f0)
-        # tying the plan to the fastest corner keeps each trace under ~2e4
+        topo = Topology(feedback_r=feedback_r, gain_r=gain_r)
+        # tying the plan to the loop's corner keeps each trace under ~2e4
         # steps; over millions of steps the trace's own rounding drifts by
         # ~1e-12 (against a 40-digit evaluation of the same step map, which
         # the closed form matches to ~3e-16)
         corner = f0 * (topo.beta + dev.inv_g0)
-        if rep is not None:
-            corner = max(corner, rep.f0)
         f_min = 10.0**corner_exp * corner
         plan = SweepPlan(f_min, f_min * (1.0 + span), n_points, spacing)
         cfg = SimConfig(steps_per_period=steps_per_period, steps_per_tau=steps_per_tau)
         try:
-            expected = trace_sweep(dev, topo, plan, cfg, rep)
+            expected = trace_sweep(dev, topo, plan, cfg)
         except SimulationError:
-            assert_same_sweep_error(dev, topo, plan, cfg, rep)
+            assert_same_sweep_error(dev, topo, plan, cfg)
             return
-        record = run_sweep(dev, topo, plan, cfg=cfg, repeater_dev=rep)
+        record = run_sweep(dev, topo, plan, cfg=cfg)
         np.testing.assert_allclose(record.gain, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("failure", ["drive cap", "amplifier step", "repeater step"])
+    @pytest.mark.parametrize("failure", ["drive cap", "amplifier step"])
     def test_error_parity(self, failure):
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 2e4, 3)
         if failure == "drive cap":
             # 23 Hz needs just over MAX_DRIVE_SAMPLES on the default loop
-            dev, cfg, rep = DeviceParams(f0=97.73e6), None, None
+            dev, cfg = DeviceParams(f0=97.73e6), None
             plan = SweepPlan(23.0, 1e5, 3)
-        elif failure == "amplifier step":
-            dev, cfg, rep = DeviceParams(f0=1e8), SimConfig(64, 0), None
         else:
-            # both stages are unstable; the repeater's step is checked first
-            dev, cfg, rep = DeviceParams(f0=1e8), SimConfig(64, 0), DeviceParams(f0=1e9)
-        assert_same_sweep_error(dev, topo, plan, cfg, rep)
+            dev, cfg = DeviceParams(f0=1e8), SimConfig(64, 0)
+        assert_same_sweep_error(dev, topo, plan, cfg)
 
     def test_sweep_cost_does_not_depend_on_steps(self, monkeypatch):
         # the largest plan completes without integrating or allocating a
