@@ -24,7 +24,14 @@ import numpy as np
 
 from .circuit import Topology
 from .distribution import _ZeroSpreadError, analyze_batch, batch_stats, normal_reference_cdf
-from .extraction import CalibrationWarning, FitError, QuickCrossoverFit, fit_f0
+from .extraction import (
+    CalibrationWarning,
+    FitError,
+    QuickCrossoverFit,
+    _calibration,
+    _fit_rows,
+    fit_f0,
+)
 from .fileio import (
     ParseError,
     RunConfig,
@@ -35,14 +42,31 @@ from .fileio import (
     write_batch_file,
     write_sweep_file,
 )
-from .simulate import SimulationError, add_gain_noise, run_sweep
+from .simulate import SimulationError, _noisy_gains, run_sweep
 
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
+# Most trials one ``mc`` run may ask for; its time is linear in trials x
+# points, and a larger count is refused before anything is simulated.
+MAX_TRIALS = 2**20
+
+# ``mc`` draws and fits its trials in blocks of at most this many gains, so
+# its memory stays bounded whatever the trial count.
+_MC_BLOCK_GAINS = 2**20
+
+
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` with
+    ``err``).  Left to find the stream itself, click caches a wrapper per
+    stream object that keeps the stream alive, so each command run in
+    process with swapped streams, as under a test runner, would keep its
+    output for the life of the process."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -63,9 +87,13 @@ def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
     to run ``command`` again."""
     names = ("sigma_rel", "g0", "feedback_r_ohm", "gain_r_ohm", "n_points", "f_min_hz",
              "f_max_hz", "spacing", "steps_per_period", "steps_per_tau")
+    # a noisy file names its noise stream, so files drawn with another
+    # stream can be told apart; a noiseless one draws none
+    stream = {"noise_stream": "per-record"} if cfg.sigma_rel else {}
     # str() of a float is its repr, the shortest form that reads back exactly
     return format_metadata({"generator": f"opampfit {command}", "seed": cfg.seed, **extra,
-                            "truth_f0_hz": cfg.f0_hz, **{n: getattr(cfg, n) for n in names}})
+                            "truth_f0_hz": cfg.f0_hz, **{n: getattr(cfg, n) for n in names},
+                            **stream})
 
 
 def _check_topology_flags(big_r, small_r) -> None:
@@ -135,20 +163,20 @@ def synth(output, config_path, **overrides):
         cfg.sim_config(), seed=cfg.seed,
     )
     write_sweep_file(output, record, _provenance("synth", cfg))
-    click.echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
-               f"truth f0 = {cfg.f0_hz!r} Hz")
+    _echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
+          f"truth f0 = {cfg.f0_hz!r} Hz")
 
 
 def _echo_fit_report(result):
-    click.echo(f"points = {result.n_points}")
-    click.echo(f"f0_hz = {result.f0_hz:.6g}")
-    click.echo(f"f0_mhz = {result.f0_hz / 1e6:.6g}")
-    click.echo(f"slope_per_hz2 = {result.slope:.6g}")
-    click.echo(f"intercept = {result.intercept:.6g}")
+    _echo(f"points = {result.n_points}")
+    _echo(f"f0_hz = {result.f0_hz:.6g}")
+    _echo(f"f0_mhz = {result.f0_hz / 1e6:.6g}")
+    _echo(f"slope_per_hz2 = {result.slope:.6g}")
+    _echo(f"intercept = {result.intercept:.6g}")
     if result.intercept_expected is not None:
-        click.echo(f"intercept_expected = {result.intercept_expected:.6g}")
-        click.echo(f"intercept_rel_dev = {result.intercept_rel_dev:.6g}")
-    click.echo(f"corr = {result.corr:.6g}")
+        _echo(f"intercept_expected = {result.intercept_expected:.6g}")
+        _echo(f"intercept_rel_dev = {result.intercept_rel_dev:.6g}")
+    _echo(f"corr = {result.corr:.6g}")
 
 
 def _write_plot_data(directory, header: str, files: dict) -> None:
@@ -158,7 +186,7 @@ def _write_plot_data(directory, header: str, files: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name, columns in files.items():
         _write_csv(directory / name, header, columns)
-    click.echo(f"wrote {' and '.join(str(directory / name) for name in files)}")
+    _echo(f"wrote {' and '.join(str(directory / name) for name in files)}")
 
 
 @main.command()
@@ -178,7 +206,7 @@ def fit(sweep_path, big_r, small_r, weighted, plot_dir):
         warnings.simplefilter("always", CalibrationWarning)
         result = fit_f0(record, weighted=weighted)
     for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
+        _echo(f"warning: {w.message}", err=True)
     _echo_fit_report(result)
     if plot_dir is not None:
         u = record.frequency_hz**2
@@ -205,12 +233,12 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
     record, _ = read_sweep_file(sweep_path)
     est = QuickCrossoverFit(n=ratio, feedback_r=big_r, gain_r=small_r, baseline=baseline)
     est.fit(record.frequency_hz, record.gain)
-    click.echo(f"f0_hz = {est.f0_hz_:.6g}")
-    click.echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
-    click.echo(f"baseline_gain = {est.baseline_gain_:.6g}")
-    click.echo(f"f_fraction_hz = {est.f_fraction_hz_:.6g}")
-    click.echo(f"bracket_below = ({est.bracket_lo_[0]:.6g} Hz, gain {est.bracket_lo_[1]:.6g})")
-    click.echo(f"bracket_above = ({est.bracket_hi_[0]:.6g} Hz, gain {est.bracket_hi_[1]:.6g})")
+    _echo(f"f0_hz = {est.f0_hz_:.6g}")
+    _echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
+    _echo(f"baseline_gain = {est.baseline_gain_:.6g}")
+    _echo(f"f_fraction_hz = {est.f_fraction_hz_:.6g}")
+    _echo(f"bracket_below = ({est.bracket_lo_[0]:.6g} Hz, gain {est.bracket_lo_[1]:.6g})")
+    _echo(f"bracket_above = ({est.bracket_hi_[0]:.6g} Hz, gain {est.bracket_hi_[1]:.6g})")
 
 
 @main.command()
@@ -227,18 +255,18 @@ def batch(batch_path, plot_dir):
         dist, mean, stddev = None, err.mean, 0.0
     except ValueError as err:
         _fail(EXIT_NUMERIC, str(err))
-    click.echo(f"n = {len(values)}")
-    click.echo(f"mean_hz = {mean:.6g}")
-    click.echo(f"mean_mhz = {mean / 1e6:.6g}")
-    click.echo(f"stddev_hz = {stddev:.6g}")
+    _echo(f"n = {len(values)}")
+    _echo(f"mean_hz = {mean:.6g}")
+    _echo(f"mean_mhz = {mean / 1e6:.6g}")
+    _echo(f"stddev_hz = {stddev:.6g}")
     if dist is None:
-        click.echo("degenerate batch: zero spread, no ECDF or normality statistics")
+        _echo("degenerate batch: zero spread, no ECDF or normality statistics")
         return
-    click.echo(f"stddev_over_mean_pct = {100.0 * dist.relative_spread:.6g}")
-    click.echo(f"kolmogorov_d = {dist.kolmogorov_d:.6g}")
-    click.echo(f"kolmogorov_d_onesided = {dist.kolmogorov_d_onesided:.6g}")
-    click.echo(f"kolmogorov_d_sqrt_n = {dist.kolmogorov_d * math.sqrt(dist.n):.6g}")
-    click.echo(f"cdf_corr = {dist.cdf_corr:.6g}")
+    _echo(f"stddev_over_mean_pct = {100.0 * dist.relative_spread:.6g}")
+    _echo(f"kolmogorov_d = {dist.kolmogorov_d:.6g}")
+    _echo(f"kolmogorov_d_onesided = {dist.kolmogorov_d_onesided:.6g}")
+    _echo(f"kolmogorov_d_sqrt_n = {dist.kolmogorov_d * math.sqrt(dist.n):.6g}")
+    _echo(f"cdf_corr = {dist.cdf_corr:.6g}")
     if plot_dir is not None:
         grid = np.linspace(dist.ecdf_x[0], dist.ecdf_x[-1], 256)
         _write_plot_data(plot_dir, "deviation_sigma,probability", {
@@ -249,7 +277,7 @@ def batch(batch_path, plot_dir):
 
 @main.command()
 @click.argument("output", type=click.Path(dir_okay=False, writable=True))
-@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True,
+@click.option("--trials", type=click.IntRange(1, MAX_TRIALS), default=100, show_default=True,
               help="Number of synth+fit repetitions.")
 @click.option("--corr-threshold", type=float, default=0.999, show_default=True,
               help="Correlation threshold for the reported pass fraction.")
@@ -258,39 +286,45 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
     """Monte-Carlo harness: simulate the noiseless sweep once, then per
     trial redraw the gain noise with seed ``(seed, trial)`` and fit it;
     writes the fitted f0 values as a batch CSV (one row per trial).  The
-    result equals running synth+fit per trial, bit-for-bit."""
+    trials are drawn and fitted as arrays, a block of them at a time, and
+    the result equals running synth+fit per trial, bit-for-bit."""
     cfg = _run_config(config_path, overrides)
-    noise_model = cfg.noise()
     clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
     f0_values = np.empty(trials)
     corr_pass = 0
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", CalibrationWarning)
-            for trial in range(trials):
-                record = add_gain_noise(clean, noise_model, seed=(cfg.seed, trial))
-                seen = len(caught)
-                result = fit_f0(record)
-                for w in caught[seen:]:
-                    click.echo(f"warning: trial {trial}: {w.message}", err=True)
-                f0_values[trial] = result.f0_hz
-                if result.corr >= corr_threshold:
-                    corr_pass += 1
-    except (SimulationError, FitError) as err:
-        _fail(EXIT_NUMERIC, f"trial {trial}: {err}")
+    block = max(1, _MC_BLOCK_GAINS // clean.n_points)
+    for start in range(0, trials, block):
+        seeds = [(cfg.seed, trial) for trial in range(start, min(start + block, trials))]
+        # a trial is refused at its first failing check, noise first, and
+        # the run at its first refused trial, so only the trials before a
+        # noise refusal are fitted
+        gains, noise_refusal = _noisy_gains(clean, cfg.sigma_rel, seeds)
+        if noise_refusal is not None:
+            gains = gains[:noise_refusal[0]]
+        slope, intercept, corr, expected, fit_refusal = _fit_rows(
+            clean.frequency_hz, gains, False, clean.feedback_r, clean.gain_r)
+        refusal = fit_refusal or noise_refusal
+        passed = len(seeds) if refusal is None else refusal[0]
+        f0_values[start:start + passed] = 1.0 / np.sqrt(slope[:passed])
+        corr_pass += int(np.count_nonzero(corr[:passed] >= corr_threshold))
+        if expected is not None:
+            for row, message in _calibration(intercept[:passed], expected)[1]:
+                _echo(f"warning: trial {start + row}: {message}", err=True)
+        if refusal is not None:
+            _fail(EXIT_NUMERIC, f"trial {start + refusal[0]}: {refusal[1]}")
     ids = [str(trial + 1) for trial in range(trials)]
     write_batch_file(output, ids, f0_values, _provenance("mc", cfg, trials=trials))
-    click.echo(f"trials = {trials}")
+    _echo(f"trials = {trials}")
     if trials >= 2:
         mean, spread = batch_stats(f0_values)
-        click.echo(f"mean_f0_hz = {mean:.6g}")
-        click.echo(f"stddev_f0_hz = {spread:.6g}")
-        click.echo(f"spread_over_mean_pct = {100.0 * spread / mean:.6g}")
+        _echo(f"mean_f0_hz = {mean:.6g}")
+        _echo(f"stddev_f0_hz = {spread:.6g}")
+        _echo(f"spread_over_mean_pct = {100.0 * spread / mean:.6g}")
     else:
-        click.echo(f"mean_f0_hz = {f0_values[0]:.6g}")
-    click.echo(f"corr_threshold = {corr_threshold:.6g}")
-    click.echo(f"corr_pass_fraction = {corr_pass / trials:.6g}")
-    click.echo(f"wrote {output}")
+        _echo(f"mean_f0_hz = {f0_values[0]:.6g}")
+    _echo(f"corr_threshold = {corr_threshold:.6g}")
+    _echo(f"corr_pass_fraction = {corr_pass / trials:.6g}")
+    _echo(f"wrote {output}")
 
 
 if __name__ == "__main__":

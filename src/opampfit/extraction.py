@@ -57,15 +57,115 @@ def _sweep_arrays(frequency_hz, gain) -> tuple[np.ndarray, np.ndarray]:
     return f, y
 
 
-def _roll_off_plane(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Why a regression is refused, check by check
+_OUT_OF_RANGE = "sweep is out of floating-point range in the (f^2, 1/gain^2) plane"
+_LINE_REFUSALS = (
+    "sweep does not resolve roll-off: no frequency spread",
+    "sweep does not resolve roll-off: gain is constant",
+    "sweep does not resolve roll-off: fitted slope is not positive "
+    "(all points are far below the closed-loop corner frequency)",
+)
+_INTERCEPT_UNDERFLOW = ("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
+                        "so the calibration cannot be checked")
+
+
+def _roll_off_plane(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sweep as ``(u, v) = (f^2, 1/gain^2)``, where the model is a
-    line; FitError when a coordinate leaves the floating-point range."""
+    line, for one row of gains or a ``(rows, points)`` matrix of them.
+    Also returns which rows stay within the floating-point range in that
+    plane (one boolean per row, a 0-d array for one row); ``v`` is
+    meaningless in any other row."""
     with np.errstate(over="ignore", divide="ignore"):
         u = f * f
         v = 1.0 / (y * y)
-    if not (np.isfinite(u).all() and np.isfinite(v).all() and v.all()):
-        raise FitError("sweep is out of floating-point range in the (f^2, 1/gain^2) plane")
-    return u, v
+    in_range = np.isfinite(v).all(axis=-1) & v.all(axis=-1) & np.isfinite(u).all()
+    return u, v, in_range
+
+
+def _fit_lines(u: np.ndarray, v: np.ndarray, weighted: bool):
+    """Least-squares lines through ``(u, v[t])`` for every row ``t`` of
+    ``v`` (shape ``(rows, points)``), all sharing the abscissae ``u``.
+
+    Returns per row the slope, the intercept, the plain Pearson correlation
+    of ``(u, v[t])`` and the first refusal: 0 for a usable line, else ``i``
+    for ``_LINE_REFUSALS[i - 1]``.  A refused row's numbers are
+    meaningless.  Every row is computed as a one-row call would compute it,
+    so the results match bit for bit.
+    """
+    n = u.size
+    # a mean is its sum over n, so the sums below keep a mean's bits
+    du0 = u - u.sum() / n  # the same in every row, so centred once
+    ss_u = (du0 * du0).sum()
+    var_u = ss_u / n
+    v_mean = v.sum(axis=-1) / n
+    dv0 = v - v_mean[:, np.newaxis]
+    cross0 = (du0 * dv0).sum(axis=-1)
+    if weighted:
+        w = 1.0 / (v * v)
+        w_sum = w.sum(axis=-1)
+        u_bar = (w * u).sum(axis=-1) / w_sum
+        v_bar = (w * v).sum(axis=-1) / w_sum
+        du = u - u_bar[:, np.newaxis]
+        dv = v - v_bar[:, np.newaxis]
+        denom = (w * du * du).sum(axis=-1)
+        cross = (w * du * dv).sum(axis=-1)
+    else:
+        # unit weights: the weighted means are the plain ones, and the
+        # products by 1.0 that the weighted sums take are exact
+        u_bar, v_bar = u.sum() / n, v_mean
+        denom, cross = ss_u, cross0
+    var_v = (dv0 * dv0).sum(axis=-1) / n
+    # a refused row may divide by zero; its numbers are not used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = cross / denom
+        corr = cross0 / n / np.sqrt(var_u * var_v)
+    intercept = v_bar - slope * u_bar
+    # the first refusal wins, so the checks are written last to first
+    refusal = (slope <= 0.0) * 3
+    refusal[var_v == 0.0] = 2
+    refusal[denom == 0.0] = 1
+    return slope, intercept, corr, refusal
+
+
+def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
+              feedback_r: float | None, gain_r: float | None):
+    """Roll-off regressions of every row of gains ``y`` (shape
+    ``(rows, points)``) over the frequencies ``f``, each checked as one fit
+    is, in this order: the range of the (f^2, 1/gain^2) plane, the line's
+    refusals, and an ideal intercept that underflows.
+
+    Returns the per-row slope, intercept and corr of :func:`_fit_lines`,
+    the topology's ideal intercept (None without resistors, or when no row
+    gets that far), and the first refusal: ``(row, message)``, or None.
+    Rows from the refused one on are not meaningful.
+    """
+    u, v, in_range = _roll_off_plane(f, y)
+    passed, refusal = len(y), None
+    if not in_range.all():
+        passed = int(np.argmin(in_range))
+        refusal = (passed, _OUT_OF_RANGE)
+    slope = intercept = corr = np.empty(0)
+    if passed:  # the lines need a plane in range, the abscissae included
+        slope, intercept, corr, codes = _fit_lines(u, v[:passed], weighted)
+        if codes.any():
+            passed = int(np.argmax(codes > 0))
+            refusal = (passed, _LINE_REFUSALS[codes[passed] - 1])
+    intercept_expected = _ideal_intercept(feedback_r, gain_r) if passed else None
+    if intercept_expected == 0.0:
+        refusal = (0, _INTERCEPT_UNDERFLOW)
+    return slope, intercept, corr, intercept_expected, refusal
+
+
+def _calibration(intercept: np.ndarray, intercept_expected: float):
+    """Relative deviation of each fitted intercept from the topology's
+    ideal one, and the CalibrationWarning text of each row that deviates
+    more than 20 percent: ``[(row, message)]``."""
+    rel_dev = (intercept - intercept_expected) / intercept_expected
+    return rel_dev, [
+        (int(row), f"fitted intercept deviates {rel_dev[row]:+.1%} from the topology's "
+                   "ideal value; the gain calibration looks suspect")
+        for row in np.flatnonzero(np.abs(rel_dev) > 0.20)
+    ]
 
 
 @dataclass(frozen=True)
@@ -154,57 +254,25 @@ class CrossoverFrequencyFit(ParamsMixin):
 
     def fit(self, frequency_hz, gain) -> "CrossoverFrequencyFit":
         f, y = _sweep_arrays(frequency_hz, gain)
-        u, v = _roll_off_plane(f, y)
-        w = 1.0 / (v * v) if self.weighted else np.ones_like(v)
-        w_sum = w.sum()
-        u_bar = (w * u).sum() / w_sum
-        v_bar = (w * v).sum() / w_sum
-        du = u - u_bar
-        dv = v - v_bar
-        denom = (w * du * du).sum()
-        if denom == 0.0:
-            raise FitError("sweep does not resolve roll-off: no frequency spread")
-        slope = (w * du * dv).sum() / denom
-        intercept = v_bar - slope * u_bar
-
-        var_u = np.mean((u - u.mean()) ** 2)
-        var_v = np.mean((v - v.mean()) ** 2)
-        if var_v == 0.0:
-            raise FitError("sweep does not resolve roll-off: gain is constant")
-        corr = np.mean((u - u.mean()) * (v - v.mean())) / math.sqrt(var_u * var_v)
-
-        if slope <= 0.0:
-            raise FitError(
-                "sweep does not resolve roll-off: fitted slope is not positive "
-                "(all points are far below the closed-loop corner frequency)"
-            )
-
+        slope, intercept, corr, intercept_expected, refusal = _fit_rows(
+            f, y[np.newaxis], self.weighted, self.feedback_r, self.gain_r)
         # refused before any attribute is set, so a failed fit leaves the
         # estimator as it was
-        intercept_expected = _ideal_intercept(self.feedback_r, self.gain_r)
-        if intercept_expected == 0.0:
-            raise FitError("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
-                           "so the calibration cannot be checked")
+        if refusal is not None:
+            raise FitError(refusal[1])
 
         self.n_points_ = int(f.size)
-        self.slope_ = float(slope)
-        self.intercept_ = float(intercept)
-        self.corr_ = float(corr)
-        self.f0_hz_ = 1.0 / math.sqrt(slope)
+        self.slope_ = float(slope[0])
+        self.intercept_ = float(intercept[0])
+        self.corr_ = float(corr[0])
+        self.f0_hz_ = 1.0 / math.sqrt(self.slope_)
         self.intercept_expected_ = intercept_expected
-        if self.intercept_expected_ is not None:
-            self.intercept_rel_dev_ = (
-                self.intercept_ - self.intercept_expected_
-            ) / self.intercept_expected_
-            if abs(self.intercept_rel_dev_) > 0.20:
-                warnings.warn(
-                    f"fitted intercept deviates {self.intercept_rel_dev_:+.1%} from the "
-                    "topology's ideal value; the gain calibration looks suspect",
-                    CalibrationWarning,
-                    stacklevel=2,
-                )
-        else:
-            self.intercept_rel_dev_ = None
+        self.intercept_rel_dev_ = None
+        if intercept_expected is not None:
+            rel_dev, warned = _calibration(intercept, intercept_expected)
+            self.intercept_rel_dev_ = float(rel_dev[0])
+            for _, message in warned:
+                warnings.warn(message, CalibrationWarning, stacklevel=2)
         return self
 
     def predict(self, frequency_hz) -> np.ndarray:
@@ -266,7 +334,9 @@ class QuickCrossoverFit(ParamsMixin):
         if self.baseline not in ("first", "low_decile"):
             raise ValueError(f"baseline must be 'first' or 'low_decile', got {self.baseline!r}")
         f, y = _sweep_arrays(frequency_hz, gain)
-        u, v = _roll_off_plane(f, y)
+        u, v, in_range = _roll_off_plane(f, y)
+        if not in_range:
+            raise FitError(_OUT_OF_RANGE)
 
         if self.baseline == "first":
             y0 = float(y[0])

@@ -387,6 +387,42 @@ def lockin_demodulate(ts: TimeSeries, reference_f: float) -> float:
     return math.hypot(i_part, q_part)
 
 
+def _noisy_gains(
+    record: SweepRecord,
+    sigma_rel: float,
+    seeds: list[tuple[int, ...]],
+) -> tuple[np.ndarray, tuple[int, SimulationError] | None]:
+    """The gains of ``record`` under one noise record per seed: row ``t``
+    scales point ``k`` by ``1 + sigma_rel * z[k]``, with ``z`` the first
+    ``n_points`` draws of ``default_rng([*seeds[t]]).standard_normal``.
+
+    Returns the ``(len(seeds), n_points)`` gain matrix and the refusal of
+    the first gain, in row-major order, that the noise left non-positive or
+    overflowed: ``(row, SimulationError)``, or None.  Rows after that one
+    are not checked.
+    """
+    draws = np.empty((len(seeds), record.n_points))
+    for row, words in zip(draws, seeds):
+        np.random.default_rng(words).standard_normal(out=row)
+    with np.errstate(over="ignore"):  # an overflowed gain is refused below
+        draws *= sigma_rel
+        draws += 1.0
+        gains = np.multiply(record.gain, draws, out=draws)
+    bad = np.flatnonzero(~((gains > 0.0) & (gains < math.inf)))
+    if not bad.size:
+        return gains, None
+    row, k = divmod(int(bad[0]), record.n_points)
+    frequency = float(record.frequency_hz[k])
+    gain = gains[row, k]
+    what = "non-positive" if gain <= 0.0 else "non-finite"
+    return gains, (row, SimulationError(
+        f"gain noise (sigma_rel {sigma_rel!r}) made the gain at "
+        f"{frequency:.6g} Hz {what} ({gain:.6g})",
+        step_index=0,
+        frequency=frequency,
+    ))
+
+
 def add_gain_noise(
     record: SweepRecord,
     noise: NoiseModel,
@@ -395,35 +431,23 @@ def add_gain_noise(
     """Scale each gain of ``record`` by ``1 + eps`` with
     ``eps ~ Normal(0, sigma_rel)``.
 
-    Point ``k``'s draw comes from its own generator seeded with
-    ``(*seed, k)`` (``(seed, k)`` for an integer seed), never from a shared
-    stream, so the result is reproducible bit-for-bit and independent of
-    evaluation order.  A noiseless model returns ``record`` itself.  A
-    draw that leaves a gain non-positive or overflows it (possible only for
-    a large ``sigma_rel``) raises :class:`SimulationError` naming its
-    frequency.
+    The whole record draws from one generator seeded with ``seed`` (the
+    words of a tuple seed): point ``k`` takes the ``k``-th value of
+    ``default_rng([*seed]).standard_normal(n_points)``.  The result is
+    reproducible bit-for-bit, does not depend on the order in which records
+    are drawn, and is prefix-stable: the first ``m`` points of an
+    ``n``-point record draw what an ``m``-point record draws.  A noiseless
+    model returns ``record`` itself.  A draw that leaves a gain
+    non-positive or overflows it (possible only for a large ``sigma_rel``)
+    raises :class:`SimulationError` naming its frequency.
     """
     if noise.sigma_rel == 0.0:
         return record
     seed_words = (seed,) if isinstance(seed, int) else tuple(seed)
-    factors = [
-        1.0 + noise.sigma_rel * np.random.default_rng([*seed_words, k]).standard_normal()
-        for k in range(record.n_points)
-    ]
-    with np.errstate(over="ignore"):  # an overflowed gain is refused below
-        gains = record.gain * np.array(factors)
-    bad = np.flatnonzero(~((gains > 0.0) & (gains < math.inf)))
-    if bad.size:
-        k = bad[0]
-        frequency = float(record.frequency_hz[k])
-        what = "non-positive" if gains[k] <= 0.0 else "non-finite"
-        raise SimulationError(
-            f"gain noise (sigma_rel {noise.sigma_rel!r}) made the gain at "
-            f"{frequency:.6g} Hz {what} ({gains[k]:.6g})",
-            step_index=0,
-            frequency=frequency,
-        )
-    return replace(record, gain=gains)
+    gains, refusal = _noisy_gains(record, noise.sigma_rel, [seed_words])
+    if refusal is not None:
+        raise refusal[1]
+    return replace(record, gain=gains[0])
 
 
 def run_sweep(
@@ -456,7 +480,7 @@ def run_sweep(
         h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg))
     # times the rounded 1/tau0, as the trace's drive is: dividing by tau0
     # instead moves the last bit of every gain
-    gains =np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
+    gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
     record = SweepRecord(
         frequency_hz=freqs,
         gain=gains,

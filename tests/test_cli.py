@@ -1,23 +1,34 @@
 """Command-line interface tests, exercised through click's test runner."""
 
+import contextlib
+import gc
+import io
 import json
 import math
 import time
 import warnings
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from opampfit import (
+    CalibrationWarning,
     DeviceParams,
+    FitError,
     NoiseModel,
+    RunConfig,
+    SimulationError,
     SweepPlan,
     SweepRecord,
     Topology,
+    add_gain_noise,
+    batch_stats,
     closed_loop_gain,
     fit_f0,
     read_batch_file,
@@ -27,7 +38,7 @@ from opampfit import (
     write_sweep_file,
 )
 from opampfit import cli, distribution
-from opampfit.cli import main
+from opampfit.cli import MAX_TRIALS, main
 from opampfit.fileio import parse_metadata
 from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
 
@@ -457,11 +468,11 @@ class TestMc:
         assert not out.exists()
 
     def test_calibration_warnings_name_their_trial(self, runner, tmp_path):
-        # trial 0 of seed 0 fits an intercept far from the topology's value;
+        # trial 0 of seed 14 fits an intercept far from the topology's value;
         # trial 2 then fails to resolve the roll-off
         out = tmp_path / "mc.csv"
         args = ["mc", str(out), "--trials", "5", "--points", "3", "--fmax", "1.01e4",
-                "--noise", "1e-3", "--seed", "0"]
+                "--noise", "1e-3", "--seed", "14"]
         result = runner.invoke(main, args)
         assert result.exit_code == 4
         lines = result.stderr.splitlines()
@@ -485,6 +496,30 @@ class TestMc:
             assert "n_points" in result.stderr and points in result.stderr
         assert not out.exists()
 
+    def test_too_many_trials_refused_before_simulating(self, runner, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called for a refused trial count")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "mc.csv"
+        assert MAX_TRIALS == 2**20
+        for trials in (MAX_TRIALS + 1, 10**12):
+            result = runner.invoke(main, ["mc", str(out), "--trials", str(trials), "--points",
+                                          "32", "--noise", "3e-4"])
+            assert result.exit_code == 2
+            assert "--trials" in result.stderr and "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "mc"])
+    def test_noisy_header_names_the_noise_stream(self, runner, tmp_path, command):
+        noisy, clean = tmp_path / "noisy.csv", tmp_path / "clean.csv"
+        args = ["--points", "8", "--seed", "2"]
+        assert runner.invoke(main, [command, str(noisy), *args, "--noise", "1e-4"]).exit_code == 0
+        assert runner.invoke(main, [command, str(clean), *args]).exit_code == 0
+        read = read_batch_file if command == "mc" else read_sweep_file
+        assert parse_metadata(read(noisy)[-1])["noise_stream"] == "per-record"
+        assert "noise_stream" not in parse_metadata(read(clean)[-1])
+
     def test_full_pipeline_reproduces_device_spread(self, runner, tmp_path):
         """End-to-end: 400 noisy synth+fit trials tuned for a ~1.66 %
         fitted-f0 spread feed the batch analysis, which must look normal."""
@@ -505,6 +540,135 @@ class TestMc:
         batch_report = parse_report(batch_result.stdout)
         assert float(batch_report["cdf_corr"]) >= 0.99
         assert int(batch_report["n"]) == 400
+
+
+def per_trial_mc(output, trials, cfg, corr_threshold):
+    """``mc`` as a loop over trials, each drawn with ``add_gain_noise`` and
+    fitted with ``fit_f0``, its calibration warnings echoed: returns the exit
+    code, stdout and stderr, and writes the batch file on success."""
+    try:
+        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
+    except SimulationError as err:
+        return 4, "", f"error: {err}\n"
+    stderr, values, corr_pass = [], [], 0
+    for trial in range(trials):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CalibrationWarning)
+            try:
+                result = fit_f0(add_gain_noise(clean, cfg.noise(), (cfg.seed, trial)))
+            except (SimulationError, FitError) as err:
+                stderr.append(f"error: trial {trial}: {err}")
+                return 4, "", "".join(line + "\n" for line in stderr)
+        stderr += [f"warning: trial {trial}: {w.message}" for w in caught]
+        values.append(result.f0_hz)
+        corr_pass += result.corr >= corr_threshold
+    write_batch_file(output, [str(trial + 1) for trial in range(trials)], values,
+                     cli._provenance("mc", cfg, trials=trials))
+    stdout = [f"trials = {trials}"]
+    if trials >= 2:
+        mean, spread = batch_stats(np.array(values))
+        stdout += [f"mean_f0_hz = {mean:.6g}", f"stddev_f0_hz = {spread:.6g}",
+                   f"spread_over_mean_pct = {100.0 * spread / mean:.6g}"]
+    else:
+        stdout.append(f"mean_f0_hz = {values[0]:.6g}")
+    stdout += [f"corr_threshold = {corr_threshold:.6g}",
+               f"corr_pass_fraction = {corr_pass / trials:.6g}", f"wrote {output}"]
+    return 0, "".join(line + "\n" for line in stdout), "".join(line + "\n" for line in stderr)
+
+
+MC_FLAGS = {"n_points": "--points", "sigma_rel": "--noise", "seed": "--seed",
+            "f_max_hz": "--fmax", "feedback_r_ohm": "--R", "gain_r_ohm": "--r"}
+
+
+def assert_mc_matches_per_trial_loop(tmp_path, trials, corr_threshold, fields):
+    """``mc`` with ``fields`` (RunConfig names; ``g0`` goes through --config)
+    prints, exits and writes exactly what :func:`per_trial_mc` does."""
+    argv = ["mc", "mc.csv", "--trials", str(trials), "--corr-threshold", repr(corr_threshold)]
+    for name, value in fields.items():
+        argv += [MC_FLAGS[name], repr(value)] if name in MC_FLAGS else []
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        if "g0" in fields:
+            Path("run.json").write_text(json.dumps({"g0": fields["g0"]}))
+            argv += ["--config", "run.json"]
+        result = runner.invoke(main, argv)
+        written = Path("mc.csv").read_bytes() if Path("mc.csv").exists() else None
+    cfg = replace(RunConfig(), **fields)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        expected = per_trial_mc("mc.csv", trials, cfg, corr_threshold)
+        expected_written = Path("mc.csv").read_bytes() if Path("mc.csv").exists() else None
+    assert (result.exit_code, result.stdout, result.stderr) == expected
+    assert written == expected_written
+    return result
+
+
+TOPOLOGY_FIELDS = st.sampled_from([
+    {}, {}, {}, {"feedback_r_ohm": 1989.0, "gain_r_ohm": 20.1},
+    # a loop that a finite g0 keeps simulable, but whose ideal intercept underflows
+    {"feedback_r_ohm": 1e200, "gain_r_ohm": 1.0, "g0": 1e5},
+])
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    trials=st.integers(1, 12),
+    corr_threshold=st.sampled_from([0.999, 0.9993, 0.0, math.nan]),
+    fields=st.fixed_dictionaries(
+        {"n_points": st.one_of(st.just(3), st.integers(3, 48)),
+         "sigma_rel": st.sampled_from([0.0, 1e-4, 3.23e-4, 1e-3, 3e-3, 0.3, 10.0]),
+         "seed": st.integers(0, 2**63)},
+        optional={"f_max_hz": st.sampled_from([1.01e4, 1.01e4, 1e6, 3e7]),
+                  "g0": st.sampled_from([1e5])},
+    ).flatmap(lambda fields: TOPOLOGY_FIELDS.map(lambda topology: {**fields, **topology})),
+)
+# the plans that refuse a noisy gain, fail a fit, and warn before failing
+@example(trials=3, corr_threshold=0.999, fields={"n_points": 16, "sigma_rel": 10.0, "seed": 0})
+@example(trials=5, corr_threshold=0.999,
+         fields={"n_points": 3, "sigma_rel": 1e-3, "seed": 1, "f_max_hz": 1.01e4})
+@example(trials=5, corr_threshold=0.999,
+         fields={"n_points": 3, "sigma_rel": 1e-3, "seed": 14, "f_max_hz": 1.01e4})
+def test_mc_equals_a_per_trial_loop(tmp_path, trials, corr_threshold, fields):
+    assert_mc_matches_per_trial_loop(tmp_path, trials, corr_threshold, fields)
+
+
+@pytest.mark.parametrize("trials,fields,first_failing,warns_in_both_blocks", [
+    # 2^16 points make blocks of 16 trials: a run that fits two blocks, one
+    # whose first noise refusal opens the second block, one refused by
+    # noise and one by the fit inside it
+    (20, {"sigma_rel": 0.2, "f_max_hz": 3e7, "seed": 3}, None, True),
+    (24, {"sigma_rel": 0.2, "f_max_hz": 3e7, "seed": 0}, 16, False),
+    (24, {"sigma_rel": 0.2, "f_max_hz": 3e7, "seed": 7}, 23, True),
+    (24, {"sigma_rel": 5e-5, "f_max_hz": 1.01e4, "seed": 11}, 22, False),
+])
+def test_mc_blocks_keep_the_per_trial_order(tmp_path, trials, fields, first_failing,
+                                            warns_in_both_blocks):
+    fields = {"n_points": 2**16, **fields}
+    assert cli._MC_BLOCK_GAINS // fields["n_points"] == 16
+    result = assert_mc_matches_per_trial_loop(tmp_path, trials, 0.999, fields)
+    lines = result.stderr.splitlines()
+    if first_failing is None:
+        assert result.exit_code == 0
+    else:
+        assert lines[-1].startswith(f"error: trial {first_failing}: ")
+    warned = [int(line.split()[2].rstrip(":")) for line in lines if line.startswith("warning")]
+    assert (min(warned, default=16) < 16 <= max(warned, default=0)) == warns_in_both_blocks
+
+
+@pytest.mark.parametrize("argv", [["mc", "mc.csv", "--trials", "2", "--points", "8"],
+                                  ["mc", "mc.csv", "--trials", "2", "--noise", "10"]])
+def test_in_process_runs_release_their_output_streams(tmp_path, monkeypatch, argv):
+    # a command run in process with swapped streams must not keep them (and
+    # the output they hold) alive once the caller drops them
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            main.main(argv, standalone_mode=True)
+    assert out.getvalue() or err.getvalue()
+    streams = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in streams] == [None, None]
 
 
 class TestExitCodes:
@@ -542,6 +706,8 @@ PROBES = [
     (["fit", "sweep.csv", "--R", "100", "--r", "0"], 2),
     (["quick", "sweep.csv", "--R", "-5", "--r", "1"], 2),
     (["synth", "out.csv", "--fmax", "inf"], 3),
+    (["synth", "out.csv", "--noise", "1e308"], 4),
+    (["mc", "out.csv", "--noise", "1e308"], 4),
     (["synth", "out.csv", "--points", "3", "--fmin", "1e-320", "--fmax", "1e-319"], 4),
     (["fit", "latin1.csv"], 3),
     (["batch", "latin1_batch.csv"], 3),
@@ -674,8 +840,10 @@ def cli_call(draw):
     return argv, files
 
 
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                                   HealthCheck.too_slow])
+# 200 examples in the default profile, the loaded profile's count if that is
+# larger (HYPOTHESIS_PROFILE=long, see conftest.py)
+@settings(max_examples=max(200, settings().max_examples),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(call=cli_call())
 def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
     argv, files = call

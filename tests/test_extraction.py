@@ -26,6 +26,7 @@ from opampfit import (
     fit_f0,
     quick_fit_f0,
 )
+from opampfit.extraction import _LINE_REFUSALS, _fit_lines, _roll_off_plane
 
 
 def synthetic_record(f0, feedback_r, gain_r, f_min, f_max, n, sigma=0.0, seed=None,
@@ -374,3 +375,59 @@ class TestEstimatorApi:
         est = CrossoverFrequencyFit(feedback_r=7.0, gain_r=2.0, weighted=True)
         clone = sklearn_base.clone(est)
         assert clone.get_params() == est.get_params()
+
+
+@st.composite
+def gain_matrix(draw):
+    """``(f, gains)``: a closed-form sweep of 3-40 points and 1-6 noisy
+    copies of its gains as rows, some of them constant; wide noise over a
+    narrow band fits non-positive slopes, so refusals are drawn too."""
+    n = draw(st.integers(3, 40))
+    f_max = draw(st.sampled_from([1.01e4, 1e5, 2e6]))
+    sigma = draw(st.sampled_from([0.0, 1e-5, 1e-3, 0.05]))
+    record = synthetic_record(97.73e6, 100.0, 1.0, 1e4, f_max, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = []
+    for constant in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if constant:
+            rows.append(np.full(n, record.gain[0]))
+        else:
+            rows.append(record.gain * (1.0 + sigma * rng.standard_normal(n)))
+    return record.frequency_hz, np.abs(np.array(rows))
+
+
+class TestBatchedLineFit:
+    @settings(max_examples=60)
+    @given(sweeps=gain_matrix(), weighted=st.booleans())
+    def test_rows_equal_one_row_fits_bit_for_bit(self, sweeps, weighted):
+        f, gains = sweeps
+        u, v, in_range = _roll_off_plane(f, gains)
+        assert in_range.all()
+        slope, intercept, corr, refusal = _fit_lines(u, v, weighted)
+        assert slope.shape == intercept.shape == corr.shape == refusal.shape == (len(gains),)
+        for row, gain in enumerate(gains):
+            est = CrossoverFrequencyFit(weighted=weighted)
+            try:
+                est.fit(f, gain)
+            except FitError as err:
+                assert refusal[row] > 0 and str(err) == _LINE_REFUSALS[refusal[row] - 1]
+                continue
+            assert refusal[row] == 0
+            assert est.slope_.hex() == float(slope[row]).hex()
+            assert est.intercept_.hex() == float(intercept[row]).hex()
+            assert est.corr_.hex() == float(corr[row]).hex()
+
+    def test_each_row_reports_its_own_refusal(self):
+        # a falling, a constant and a rising gain over one band
+        f = np.linspace(1e4, 1.01e4, 3)
+        gains = np.array([[101.0, 100.0, 99.0], [100.0, 100.0, 100.0], [99.0, 100.0, 101.0]])
+        *_, refusal = _fit_lines(*_roll_off_plane(f, gains)[:2], weighted=False)
+        assert refusal.tolist() == [0, 2, 3]
+
+    def test_plane_names_the_rows_in_range(self):
+        f = np.array([1e4, 2e4, 3e4])
+        gains = np.array([[100.0, 90.0, 80.0], [100.0, 1e-200, 80.0], [1e200, 90.0, 80.0]])
+        *_, in_range = _roll_off_plane(f, gains)
+        assert in_range.tolist() == [True, False, False]
+        with pytest.raises(FitError, match="out of floating-point range"):
+            CrossoverFrequencyFit().fit(f, gains[1])

@@ -1,5 +1,6 @@
 """The README's examples, run as written: the command-line block, the Python
-API block and the config block."""
+API block and the config block; and the limits and exit codes it states,
+checked against the code."""
 
 import json
 import re
@@ -7,10 +8,12 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
+import click
 from click.testing import CliRunner
 
 from opampfit import RunConfig
-from opampfit.cli import main
+from opampfit.cli import EXIT_NUMERIC, EXIT_PARSE, MAX_TRIALS, main
+from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -43,3 +46,29 @@ def test_config_block_names_every_field():
     data = json.loads(block)
     RunConfig.from_mapping(data)
     assert set(data) == {f.name for f in fields(RunConfig)}
+
+
+def stated_power_of_two(pattern):
+    """The number ``2^k`` that the README states where ``pattern``, which
+    captures ``k``, matches; it must match exactly once."""
+    (exponent,) = re.findall(pattern, README)
+    return 2 ** int(exponent)
+
+
+def test_stated_sweep_point_cap_is_the_code_cap():
+    assert stated_power_of_two(r"A sweep plan holds at most 2\^(\d+) points") == MAX_SWEEP_POINTS
+
+
+def test_stated_drive_sample_cap_is_the_code_cap():
+    assert stated_power_of_two(
+        r"One sweep point may take at most 2\^(\d+) drive samples") == MAX_DRIVE_SAMPLES
+
+
+def test_stated_trial_cap_is_the_code_cap():
+    assert stated_power_of_two(r"`mc` takes at most 2\^(\d+) trials") == MAX_TRIALS
+
+
+def test_stated_exit_codes_are_the_code_exit_codes():
+    listed = {int(code) for code in re.findall(r"^- exit (\d):", README, flags=re.M)}
+    assert listed == {2, 3, 4}
+    assert {click.UsageError.exit_code, EXIT_PARSE, EXIT_NUMERIC} == listed

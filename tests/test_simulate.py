@@ -1,6 +1,7 @@
 """Time-domain integrator, lock-in demodulation, and sweep tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from opampfit import (
     simulate_steady_state,
 )
 from opampfit import simulate
-from opampfit.simulate import MAX_SWEEP_POINTS
+from opampfit.simulate import MAX_SWEEP_POINTS, _noisy_gains
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,13 +326,11 @@ class TestRunSweep:
 
 
 def noise_oracle(clean, sigma, seed_words):
-    """Gains of ``clean`` scaled point by point with the documented
-    ``(*seed_words, k)`` stream, written out independently of the library."""
-    gains = []
-    for k, gain in enumerate(clean.gain):
-        z = np.random.default_rng([*seed_words, k]).standard_normal()
-        gains.append(gain * (1.0 + sigma * z))
-    return np.array(gains)
+    """Gains of ``clean`` scaled point by point with the documented stream,
+    point ``k`` taking the ``k``-th draw of one generator seeded with
+    ``seed_words``, written out independently of the library."""
+    draws = np.random.default_rng([*seed_words]).standard_normal(clean.n_points)
+    return np.array([gain * (1.0 + sigma * z) for gain, z in zip(clean.gain, draws)])
 
 
 class TestAddGainNoise:
@@ -385,6 +384,44 @@ class TestAddGainNoise:
         for trial in range(5):
             in_order = add_gain_noise(clean, noise, (9, trial)).gain
             assert np.array_equal(shuffled[trial], in_order)
+
+    @settings(max_examples=25)
+    @given(
+        n_points=st.integers(min_value=3, max_value=200),
+        m_frac=st.floats(0.0, 1.0),
+        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    )
+    def test_draws_are_prefix_stable(self, n_points, m_frac, words):
+        # the first m points of an n-point record draw what an m-point record draws
+        m_points = 3 + round(m_frac * (n_points - 3))
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, n_points))
+        head = replace(clean, frequency_hz=clean.frequency_hz[:m_points],
+                       gain=clean.gain[:m_points])
+        noise = NoiseModel(1e-2)
+        long_record = add_gain_noise(clean, noise, tuple(words))
+        short_record = add_gain_noise(head, noise, tuple(words))
+        assert np.array_equal(long_record.gain[:m_points], short_record.gain)
+
+    def test_gain_matrix_rows_are_records(self):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 16))
+        seeds = [(4, trial) for trial in range(6)]
+        gains, refusal = _noisy_gains(clean, 0.05, seeds)
+        assert refusal is None and gains.shape == (6, 16)
+        for row, words in zip(gains, seeds):
+            assert np.array_equal(row, add_gain_noise(clean, NoiseModel(0.05), words).gain)
+
+    def test_gain_matrix_refuses_its_first_bad_gain_in_row_major_order(self):
+        clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 16))
+        seeds = [(10, trial) for trial in range(4)]
+        bad = [np.flatnonzero(noise_oracle(clean, 0.5, words) <= 0.0) for words in seeds]
+        # rows 0 and 1 draw no bad gain and row 2 does, at a later point than row 3
+        assert [b.size > 0 for b in bad] == [False, False, True, True]
+        assert bad[2][0] > bad[3][0]
+        _, (row, err) = _noisy_gains(clean, 0.5, seeds)
+        assert row == 2 and err.frequency == clean.frequency_hz[bad[2][0]]
+        with pytest.raises(SimulationError) as direct:
+            add_gain_noise(clean, NoiseModel(0.5), seeds[2])
+        assert str(err) == str(direct.value)
 
 
 def trace_sweep(dev, topo, plan, cfg=None):
