@@ -12,17 +12,12 @@ from .circuit import (
     closed_loop_gain,
     crossover_from_minus3db,
     inverse_gain_squared,
-    quick_f0,
     quick_f0_general,
 )
 from .distribution import (
     BatchDistribution,
-    NormalCdfFitStats,
-    NormalityFit,
     analyze_batch,
     batch_stats,
-    empirical_cdf,
-    normal_cdf_fit,
     normal_reference_cdf,
 )
 from .extraction import (
@@ -69,8 +64,6 @@ __all__ = [
     "FitError",
     "FitResult",
     "NoiseModel",
-    "NormalCdfFitStats",
-    "NormalityFit",
     "NotFittedError",
     "ParseError",
     "QuickCrossoverFit",
@@ -89,13 +82,10 @@ __all__ = [
     "closed_loop_gain",
     "closed_loop_ode_rhs",
     "crossover_from_minus3db",
-    "empirical_cdf",
     "fit_f0",
     "inverse_gain_squared",
     "lockin_demodulate",
-    "normal_cdf_fit",
     "normal_reference_cdf",
-    "quick_f0",
     "quick_f0_general",
     "quick_fit_f0",
     "read_batch_file",

@@ -75,10 +75,6 @@ class DeviceParams:
             raise ValueError(f"g0 must exceed 1, got {g0!r}")
         object.__setattr__(self, "g0", g0)
 
-    @classmethod
-    def from_tau0(cls, tau0: float, g0: float = math.inf) -> "DeviceParams":
-        return cls(tau0=tau0, g0=g0)
-
     @property
     def inv_g0(self) -> float:
         """1/g0, exactly 0.0 in the ideal-device limit."""
@@ -184,12 +180,6 @@ def quick_f0_general(topo: Topology, n: float, f_fraction: float) -> float:
     if not f_fraction > 0.0:
         raise ValueError(f"f_fraction must be positive, got {f_fraction!r}")
     return topo.ideal_dc_gain * f_fraction / math.sqrt(n * n - 1.0)
-
-
-def quick_f0(topo: Topology, f_half: float) -> float:
-    """Crossover frequency from the gain-halving point:
-    ``f0 = (R/r + 1) * f_half / sqrt(3)``."""
-    return quick_f0_general(topo, 2.0, f_half)
 
 
 def crossover_from_minus3db(topo: Topology, f_3db: float) -> float:

@@ -13,7 +13,6 @@ to exit codes; only a config ``ValueError``, ``batch``'s statistics and
 
 from __future__ import annotations
 
-import math
 import sys
 import warnings
 from dataclasses import replace
@@ -265,7 +264,7 @@ def batch(batch_path, plot_dir):
     _echo(f"stddev_over_mean_pct = {100.0 * dist.relative_spread:.6g}")
     _echo(f"kolmogorov_d = {dist.kolmogorov_d:.6g}")
     _echo(f"kolmogorov_d_onesided = {dist.kolmogorov_d_onesided:.6g}")
-    _echo(f"kolmogorov_d_sqrt_n = {dist.kolmogorov_d * math.sqrt(dist.n):.6g}")
+    _echo(f"kolmogorov_d_sqrt_n = {dist.kolmogorov_d_sqrt_n:.6g}")
     _echo(f"cdf_corr = {dist.cdf_corr:.6g}")
     if plot_dir is not None:
         grid = np.linspace(dist.ecdf_x[0], dist.ecdf_x[-1], 256)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_array, check_is_fitted
+from .base import as_float_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,71 +60,6 @@ class _ZeroSpreadError(ValueError):
         self.mean = mean
 
 
-def _standardised_ecdf(arr: np.ndarray, mean: float, stddev: float):
-    """:func:`empirical_cdf` of a batch whose moments are already known."""
-    if stddev == 0.0:
-        raise _ZeroSpreadError(mean)
-    x = (np.sort(arr, kind="stable") - mean) / stddev
-    n = arr.size
-    p = np.arange(1, n + 1) / n
-    return x, p
-
-
-def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Standardised empirical CDF of a batch.
-
-    Sorts the samples, standardises them with the sample mean and N-1
-    standard deviation, and returns ``(x, p)`` with ``x_i`` the ordered
-    dimensionless deviations from the mean and ``p_i = i/N`` for
-    ``i = 1..N``.  Ties appear as consecutive equal abscissae.  A batch with
-    zero spread has no standardised axis and is rejected.
-    """
-    return _standardised_ecdf(*_moments(samples))
-
-
-@dataclass(frozen=True)
-class NormalCdfFitStats:
-    """Agreement between an ECDF and the fitted normal CDF.
-
-    ``kolmogorov_d`` is the standard two-sided statistic
-    ``max_i max(|i/N - Phi_i|, |(i-1)/N - Phi_i|)``; ``kolmogorov_d_onesided``
-    is the plain ``max_i |i/N - Phi_i|`` measured at the plotted ECDF points
-    (the value to quote next to a figure).  ``cdf_corr`` is the Pearson
-    correlation between the ECDF ordinates and the normal CDF values.
-    """
-
-    kolmogorov_d: float
-    kolmogorov_d_onesided: float
-    cdf_corr: float
-
-
-def normal_cdf_fit(ecdf_x, ecdf_p) -> NormalCdfFitStats:
-    """Compare an ECDF (from :func:`empirical_cdf`) against the normal CDF."""
-    x = as_float_array(ecdf_x, "ecdf_x", min_len=2)
-    p = as_float_array(ecdf_p, "ecdf_p", min_len=2)
-    if x.size != p.size:
-        raise ValueError(f"ecdf_x and ecdf_p must have equal length, got {x.size} and {p.size}")
-    if np.any(np.diff(p) <= 0.0) or p[-1] > 1.0 or p[0] <= 0.0:
-        raise ValueError("ecdf_p must increase strictly from 1/N to 1")
-    return _cdf_agreement(x, p)
-
-
-def _cdf_agreement(x: np.ndarray, p: np.ndarray) -> NormalCdfFitStats:
-    """:func:`normal_cdf_fit` of an ECDF already known to be well formed."""
-    phi = normal_reference_cdf(x)
-    step = p[0]  # = 1/N for an i/N staircase
-    d_upper = np.abs(p - phi)
-    d_lower = np.abs((p - step) - phi)
-    d_two_sided = float(np.maximum(d_upper, d_lower).max())
-    d_one_sided = float(d_upper.max())
-    corr = float(np.corrcoef(p, phi)[0, 1])
-    return NormalCdfFitStats(
-        kolmogorov_d=d_two_sided,
-        kolmogorov_d_onesided=d_one_sided,
-        cdf_corr=corr,
-    )
-
-
 @dataclass(frozen=True)
 class BatchDistribution:
     """Full distribution report for one batch of f0 measurements."""
@@ -145,48 +80,42 @@ class BatchDistribution:
         """stddev/mean, the fractional device-to-device dispersion."""
         return self.stddev_hz / self.mean_hz
 
-
-class NormalityFit(ParamsMixin):
-    """Estimator wrapping the batch-normality analysis.
-
-    ``fit(samples)`` computes the batch mean and N-1 standard deviation, the
-    standardised ECDF, and the normal-CDF agreement statistics; everything is
-    exposed through trailing-underscore attributes (``mean_``, ``stddev_``,
-    ``ecdf_x_``, ``ecdf_p_``, ``kolmogorov_d_``, ``kolmogorov_d_onesided_``,
-    ``cdf_corr_``, ``n_``).
-    """
-
-    def fit(self, samples) -> "NormalityFit":
-        dist = analyze_batch(samples)
-        self.n_, self.mean_, self.stddev_ = dist.n, dist.mean_hz, dist.stddev_hz
-        self.ecdf_x_, self.ecdf_p_ = dist.ecdf_x, dist.ecdf_p
-        self.kolmogorov_d_ = dist.kolmogorov_d
-        self.kolmogorov_d_onesided_ = dist.kolmogorov_d_onesided
-        self.cdf_corr_ = dist.cdf_corr
-        return self
-
-    def reference_cdf(self, x) -> np.ndarray:
-        """Fitted normal CDF on the standardised axis."""
-        check_is_fitted(self, "mean_")
-        return normal_reference_cdf(x)
+    @property
+    def kolmogorov_d_sqrt_n(self) -> float:
+        """kolmogorov_d * sqrt(N), the distance on a scale free of the batch
+        size (the asymptotic 5 percent critical value is 1.358)."""
+        return self.kolmogorov_d * math.sqrt(self.n)
 
 
 def analyze_batch(samples, ids: tuple[str, ...] | None = None) -> BatchDistribution:
-    """One-call batch analysis returning a :class:`BatchDistribution`."""
+    """Distribution report of a batch of at least two samples.
+
+    ``ecdf_x`` holds the samples sorted and standardised with the sample
+    mean and N-1 standard deviation (ties as consecutive equal abscissae),
+    ``ecdf_p`` is ``i/N`` for ``i = 1..N``.  Against the normal CDF
+    ``Phi_i`` there, ``kolmogorov_d`` is the standard two-sided statistic
+    ``max_i max(|i/N - Phi_i|, |(i-1)/N - Phi_i|)``, ``kolmogorov_d_onesided``
+    the plain ``max_i |i/N - Phi_i|`` at the plotted ECDF points (the value
+    to quote next to a figure), and ``cdf_corr`` the Pearson correlation of
+    ``ecdf_p`` and ``Phi``.  ValueError when the moments overflow, when
+    ``ids`` does not name every sample, or when the samples are all equal
+    (zero spread has no standardised axis).
+    """
     arr, mean, stddev = _moments(samples)
     if ids is not None and len(ids) != arr.size:
         raise ValueError(f"got {len(ids)} ids for {arr.size} samples")
-    x, p = _standardised_ecdf(arr, mean, stddev)
-    stats = _cdf_agreement(x, p)
+    if stddev == 0.0:
+        raise _ZeroSpreadError(mean)
+    n = arr.size
+    x = (np.sort(arr, kind="stable") - mean) / stddev
+    p = np.arange(1, n + 1) / n
+    phi = normal_reference_cdf(x)
+    d_upper = np.abs(p - phi)
+    d_lower = np.abs((p - p[0]) - phi)  # p[0] = 1/N, the staircase step
     return BatchDistribution(
-        samples_hz=arr,
-        n=int(arr.size),
-        mean_hz=mean,
-        stddev_hz=stddev,
-        ecdf_x=x,
-        ecdf_p=p,
-        kolmogorov_d=stats.kolmogorov_d,
-        kolmogorov_d_onesided=stats.kolmogorov_d_onesided,
-        cdf_corr=stats.cdf_corr,
+        samples_hz=arr, n=n, mean_hz=mean, stddev_hz=stddev, ecdf_x=x, ecdf_p=p,
+        kolmogorov_d=float(np.maximum(d_upper, d_lower).max()),
+        kolmogorov_d_onesided=float(d_upper.max()),
+        cdf_corr=float(np.corrcoef(p, phi)[0, 1]),
         ids=tuple(ids) if ids is not None else None,
     )

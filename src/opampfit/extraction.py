@@ -64,7 +64,9 @@ _LINE_REFUSALS = (
     "sweep does not resolve roll-off: gain is constant",
     "sweep does not resolve roll-off: fitted slope is not positive "
     "(all points are far below the closed-loop corner frequency)",
+    _OUT_OF_RANGE,
 )
+_TINY = np.finfo(float).tiny
 _INTERCEPT_UNDERFLOW = ("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
                         "so the calibration cannot be checked")
 
@@ -82,6 +84,7 @@ def _roll_off_plane(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u, v, in_range
 
 
+@np.errstate(all="ignore")  # a sum past the float range is refused, not warned of
 def _fit_lines(u: np.ndarray, v: np.ndarray, weighted: bool):
     """Least-squares lines through ``(u, v[t])`` for every row ``t`` of
     ``v`` (shape ``(rows, points)``), all sharing the abscissae ``u``.
@@ -115,15 +118,27 @@ def _fit_lines(u: np.ndarray, v: np.ndarray, weighted: bool):
         u_bar, v_bar = u.sum() / n, v_mean
         denom, cross = ss_u, cross0
     var_v = (dv0 * dv0).sum(axis=-1) / n
+    var_uv = var_u * var_v
     # a refused row may divide by zero; its numbers are not used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = cross / denom
-        corr = cross0 / n / np.sqrt(var_u * var_v)
+    slope = cross / denom
+    corr = cross0 / n / np.sqrt(var_uv)
     intercept = v_bar - slope * u_bar
+    # a sum of squares that overflows or falls below the normal range has
+    # lost the line; zero is a true degenerate only from terms that are zero
+    lost = ~((var_uv >= _TINY) & (var_uv < np.inf))
+    if weighted:
+        lost |= ~((w_sum >= _TINY) & (w_sum < np.inf) & (denom >= _TINY) & (denom < np.inf))
+    zero = np.flatnonzero(lost & (var_v == 0.0))
+    lost[zero] = dv0[zero].any(axis=-1)
     # the first refusal wins, so the checks are written last to first
     refusal = (slope <= 0.0) * 3
     refusal[var_v == 0.0] = 2
-    refusal[denom == 0.0] = 1
+    refusal[lost] = 4
+    # the abscissae are shared, so their refusals hold for every row
+    if u.min() == u.max():
+        refusal[:] = 1
+    elif not _TINY <= ss_u < np.inf:
+        refusal[:] = 4
     return slope, intercept, corr, refusal
 
 
@@ -132,7 +147,8 @@ def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
     """Roll-off regressions of every row of gains ``y`` (shape
     ``(rows, points)``) over the frequencies ``f``, each checked as one fit
     is, in this order: the range of the (f^2, 1/gain^2) plane, the line's
-    refusals, and an ideal intercept that underflows.
+    refusals (no frequency spread, a regression sum out of that range, then
+    the rest), and an ideal intercept that underflows.
 
     Returns the per-row slope, intercept and corr of :func:`_fit_lines`,
     the topology's ideal intercept (None without resistors, or when no row

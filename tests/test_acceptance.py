@@ -20,13 +20,12 @@ from opampfit import (
     TimeSeries,
     Topology,
     add_gain_noise,
+    analyze_batch,
     closed_loop_gain,
     crossover_from_minus3db,
-    empirical_cdf,
     fit_f0,
     lockin_demodulate,
-    normal_cdf_fit,
-    quick_f0,
+    quick_f0_general,
     quick_fit_f0,
     run_sweep,
     simulate_steady_state,
@@ -137,7 +136,7 @@ def test_criterion_4_quick_method_consistency():
         lambda f: abs(closed_loop_gain(dev, topo, f)) - y0 / 2.0,
         1e3, 1e9, xtol=1e-6, rtol=8.9e-16,
     )
-    identity_dev = abs(quick_f0(topo, f_half) - truth) / truth
+    identity_dev = abs(quick_f0_general(topo, 2.0, f_half) - truth) / truth
     elapsed = time.perf_counter() - started
     ok = method_dev <= 1e-3 and identity_dev <= 1e-9
     assert report(
@@ -189,8 +188,7 @@ def test_criterion_6_distribution_pipeline():
     d_ok = 0
     for rep in range(100):
         rng = np.random.default_rng([777, rep])
-        x, p = empirical_cdf(rng.normal(mean_target, sigma_target, 400))
-        stats = normal_cdf_fit(x, p)
+        stats = analyze_batch(rng.normal(mean_target, sigma_target, 400))
         if stats.cdf_corr >= 0.996:
             corr_ok += 1
         if stats.kolmogorov_d * math.sqrt(400) < 1.358:

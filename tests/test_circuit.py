@@ -12,7 +12,6 @@ from opampfit import (
     closed_loop_gain,
     crossover_from_minus3db,
     inverse_gain_squared,
-    quick_f0,
     quick_f0_general,
 )
 
@@ -33,7 +32,7 @@ class TestDeviceParams:
         assert dev.tau0 * TWO_PI * dev.f0 == pytest.approx(1.0, rel=3e-16)
 
     def test_f0_derived_from_tau0(self):
-        dev = DeviceParams.from_tau0(1.5915494309189535e-9, g0=1e5)
+        dev = DeviceParams(tau0=1.5915494309189535e-9, g0=1e5)
         assert dev.f0 == pytest.approx(1.0e8, rel=1e-12)
         assert dev.g0 == 1e5
 
@@ -43,7 +42,7 @@ class TestDeviceParams:
             assert dev.f0 == f0
             again = DeviceParams(f0=dev.f0)
             assert again.tau0 == dev.tau0
-            via_tau = DeviceParams.from_tau0(dev.tau0)
+            via_tau = DeviceParams(tau0=dev.tau0)
             assert via_tau.tau0 == dev.tau0
 
     def test_product_identity_within_one_ulp(self):
@@ -201,11 +200,11 @@ class TestQuickF0:
         # oracle: invert the formula at the target crossover frequency
         topo = Topology(feedback_r=1989.0, gain_r=20.1)
         f_half = math.sqrt(3.0) * 39.6e6 / topo.ideal_dc_gain
-        assert quick_f0(topo, f_half) == pytest.approx(39.6e6, rel=1e-12)
+        assert quick_f0_general(topo, 2.0, f_half) == pytest.approx(39.6e6, rel=1e-12)
 
     def test_prefactor_cancels(self):
         topo = Topology(feedback_r=math.sqrt(3.0) - 1.0, gain_r=1.0)
-        assert quick_f0(topo, 1e6) == pytest.approx(1e6, rel=1e-12)
+        assert quick_f0_general(topo, 2.0, 1e6) == pytest.approx(1e6, rel=1e-12)
 
     def test_against_root_found_half_gain_point(self):
         # oracle: root-find the half-gain frequency on the closed-form response
@@ -216,22 +215,18 @@ class TestQuickF0:
             lambda f: abs(closed_loop_gain(dev, topo, f)) - y0 / 2.0,
             1e3, 1e9, xtol=1e-6, rtol=8.9e-16,
         )
-        assert quick_f0(topo, f_half) == pytest.approx(dev.f0, rel=1e-9)
+        assert quick_f0_general(topo, 2.0, f_half) == pytest.approx(dev.f0, rel=1e-9)
 
     def test_repeater_rejected(self):
         with pytest.raises(ValueError, match="repeater"):
-            quick_f0(Topology.repeater(), 1e6)
+            quick_f0_general(Topology.repeater(), 2.0, 1e6)
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
-            quick_f0(Topology(feedback_r=100.0, gain_r=1.0), 0.0)
+            quick_f0_general(Topology(feedback_r=100.0, gain_r=1.0), 2.0, 0.0)
 
 
 class TestQuickF0General:
-    def test_n2_reproduces_quick_f0_exactly(self):
-        topo = Topology(feedback_r=1989.0, gain_r=20.1)
-        assert quick_f0_general(topo, 2.0, 686199.0) == quick_f0(topo, 686199.0)
-
     def test_sqrt2_case(self):
         # sqrt(n^2 - 1) = 1, so this is the -3 dB relation with gain 101
         topo = Topology(feedback_r=1000.0, gain_r=10.0)

@@ -697,6 +697,9 @@ PROBE_FILES = {
     "huge_batch.csv": b"sample_id,f0_hz\na,1e308\nb,1.7e308\nc,1e308\n",
     "b3.csv": b"sample_id,f0_hz\na,9.7e7\nb,9.8e7\nc,9.6e7\n",
     "tiny_f0.json": b'{"f0_hz": 1e-320}',
+    "small_gain.csv": b"frequency_hz,gain\n1e4,3e-100\n2e4,2e-100\n3e4,1e-100\n",
+    "large_gain.csv": b"frequency_hz,gain\n1e4,3e100\n2e4,2e100\n3e4,1e100\n",
+    "large_freq.csv": b"frequency_hz,gain\n1e150,3\n2e150,2\n3e150,1\n",
 }
 
 
@@ -727,6 +730,13 @@ PROBES = [
     (["synth", "out.csv", "--fmin", "1e-320", "--r", "1e-320"], 4),
     (["synth", "out.csv", "--fmax", "1.7976931348623157e308"], 4),
     (["fit", "sweep.csv", "--R", "0.001", "--r", "1.2442072448496355e-203"], 4),
+    # the plane is in range but the regression's sums of squares are not
+    (["fit", "small_gain.csv"], 4),
+    (["fit", "small_gain.csv", "--weighted"], 4),
+    (["fit", "large_gain.csv"], 4),
+    (["fit", "large_gain.csv", "--weighted"], 4),
+    (["fit", "large_freq.csv"], 4),
+    (["fit", "large_freq.csv", "--weighted"], 4),
 ]
 
 

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opampfit import (
-    NormalityFit,
-    NotFittedError,
-    analyze_batch,
-    batch_stats,
-    empirical_cdf,
-    normal_cdf_fit,
-    normal_reference_cdf,
-)
+from opampfit import analyze_batch, batch_stats, normal_reference_cdf
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,8 +58,7 @@ class TestBatchStats:
         with pytest.raises(ValueError):
             batch_stats([1.0])
 
-    @pytest.mark.parametrize("compute", [batch_stats, empirical_cdf, analyze_batch,
-                                         NormalityFit().fit])
+    @pytest.mark.parametrize("compute", [batch_stats, analyze_batch])
     @pytest.mark.parametrize("samples", [[1e308, 1.7e308, 1e308], [1.7e308, 1e-300]])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_moments_rejected(self, compute, samples):
@@ -78,39 +69,39 @@ class TestBatchStats:
 class TestEmpiricalCdf:
     def test_two_point_hand_arithmetic(self):
         # mean 0.5, N-1 stddev sqrt(0.5): abscissae are -/+ 0.5/sqrt(0.5)
-        x, p = empirical_cdf([0.0, 1.0])
+        dist = analyze_batch([0.0, 1.0])
         expected = 0.5 / math.sqrt(0.5)
-        np.testing.assert_allclose(x, [-expected, expected], rtol=1e-12)
-        assert p.tolist() == [0.5, 1.0]
+        np.testing.assert_allclose(dist.ecdf_x, [-expected, expected], rtol=1e-12)
+        assert dist.ecdf_p.tolist() == [0.5, 1.0]
         assert expected == pytest.approx(0.7071067811865475, rel=1e-15)
 
     def test_abscissae_nondecreasing_and_last_ordinate_one(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(10.0, 2.0, 101)
-        x, p = empirical_cdf(samples)
+        dist = analyze_batch(samples)
+        x, p = dist.ecdf_x, dist.ecdf_p
         assert np.all(np.diff(x) >= 0.0)
         assert p[-1] == 1.0
         assert p[0] == pytest.approx(1.0 / 101.0, rel=1e-15)
 
     def test_ties_preserved(self):
-        x, p = empirical_cdf([1.0, 2.0, 2.0, 3.0])
+        x = analyze_batch([1.0, 2.0, 2.0, 3.0]).ecdf_x
         assert x.size == 4
         assert x[1] == x[2]
 
     def test_zero_spread_rejected(self):
         with pytest.raises(ValueError, match="standard deviation is zero"):
-            empirical_cdf([2.0, 2.0])
+            analyze_batch([2.0, 2.0])
 
 
 class TestNormalCdfFit:
     def test_two_point_erf_arithmetic(self):
-        x = np.array([-0.7071067811865475, 0.7071067811865475])
-        p = np.array([0.5, 1.0])
+        stats = analyze_batch([0.0, 1.0])
+        x = stats.ecdf_x
         phi_lo = simpson_normal_cdf(x[0])
         phi_hi = simpson_normal_cdf(x[1])
         assert phi_lo == pytest.approx(0.2397500610934768, abs=1e-9)
         assert phi_hi == pytest.approx(0.7602499389065232, abs=1e-9)
-        stats = normal_cdf_fit(x, p)
         expected_d = max(abs(0.5 - phi_lo), abs(1.0 - phi_hi))
         assert stats.kolmogorov_d_onesided == pytest.approx(expected_d, abs=1e-9)
         assert stats.kolmogorov_d_onesided == pytest.approx(0.2602499389065232, abs=1e-9)
@@ -122,11 +113,10 @@ class TestNormalCdfFit:
         d_ok = 0
         for rep in range(100):
             rng = np.random.default_rng([211, rep])
-            x, p = empirical_cdf(rng.normal(97.73e6, 1.62e6, 400))
-            stats = normal_cdf_fit(x, p)
+            stats = analyze_batch(rng.normal(97.73e6, 1.62e6, 400))
             if stats.cdf_corr >= 0.996:
                 corr_ok += 1
-            if stats.kolmogorov_d * math.sqrt(400) < 1.358:
+            if stats.kolmogorov_d_sqrt_n < 1.358:
                 d_ok += 1
         assert corr_ok >= 90
         assert d_ok >= 90
@@ -137,15 +127,10 @@ class TestNormalCdfFit:
         d_normal, d_uniform = [], []
         for rep in range(60):
             rng = np.random.default_rng([223, rep])
-            xn, pn = empirical_cdf(rng.normal(0.0, 1.0, 400))
-            d_normal.append(normal_cdf_fit(xn, pn).kolmogorov_d)
-            xu, pu = empirical_cdf(rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), 400))
-            d_uniform.append(normal_cdf_fit(xu, pu).kolmogorov_d)
+            d_normal.append(analyze_batch(rng.normal(0.0, 1.0, 400)).kolmogorov_d)
+            uniform = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), 400)
+            d_uniform.append(analyze_batch(uniform).kolmogorov_d)
         assert np.median(d_uniform) > 1.5 * np.median(d_normal)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            normal_cdf_fit([0.0, 1.0], [0.5, 0.75, 1.0])
 
 
 class TestInvariants:
@@ -218,18 +203,6 @@ class TestNormalReferenceCdf:
 
 
 class TestNormalityFitEstimator:
-    def test_fit_exposes_attributes(self):
-        rng = np.random.default_rng(43)
-        est = NormalityFit().fit(rng.normal(0.0, 1.0, 100))
-        assert est.n_ == 100
-        assert est.ecdf_p_[-1] == 1.0
-        assert 0.0 <= est.kolmogorov_d_ <= 1.0
-        assert est.kolmogorov_d_ >= est.kolmogorov_d_onesided_
-
-    def test_reference_cdf_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            NormalityFit().reference_cdf([0.0])
-
     def test_analyze_batch_checks_ids(self):
         with pytest.raises(ValueError, match="ids"):
             analyze_batch([1.0, 2.0, 3.0], ids=("a", "b"))

@@ -82,6 +82,23 @@ def test_sweep_outside_float_range_is_a_fit_error(estimator, freqs, gains):
         estimator.fit(freqs, gains)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "freqs,gains",
+    [
+        ([1e4, 2e4, 3e4], [3e-100, 2e-100, 1e-100]),  # (1/gain^2)^2 overflows
+        ([1e4, 2e4, 3e4], [3e100, 2e100, 1e100]),  # (1/gain^2)^2 underflows
+        ([1e150, 2e150, 3e150], [3.0, 2.0, 1.0]),  # (f^2)^2 overflows
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_regression_sums_outside_float_range_are_a_fit_error(weighted, freqs, gains):
+    # the plane itself is in range; only the sums of squares leave it
+    assert _roll_off_plane(np.array(freqs), np.array(gains))[2]
+    with pytest.raises(FitError, match="floating-point range"):
+        CrossoverFrequencyFit(weighted=weighted).fit(freqs, gains)
+
+
 @pytest.mark.parametrize("estimator", [CrossoverFrequencyFit(), QuickCrossoverFit()])
 @pytest.mark.parametrize(
     "freqs,gains",
@@ -423,6 +440,23 @@ class TestBatchedLineFit:
         gains = np.array([[101.0, 100.0, 99.0], [100.0, 100.0, 100.0], [99.0, 100.0, 101.0]])
         *_, refusal = _fit_lines(*_roll_off_plane(f, gains)[:2], weighted=False)
         assert refusal.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("f, expected", [
+        ([1e4, 2e4, 3e4], [0, 4, 4, 2, 2]),
+        ([1e4, 1e4, 1e4], [1, 1, 1, 1, 1]),  # no frequency spread in any row
+        ([0.3, 0.3, 0.3], [1, 1, 1, 1, 1]),  # equal, though f^2 does not average back
+        ([1e-160, 2e-160, 3e-160], [4, 4, 4, 4, 4]),  # (f^2)^2 underflows
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_lost_sums_refuse_their_rows(self, weighted, f, expected):
+        # a falling row, rows whose sums of squares overflow and underflow,
+        # and constant rows at the same scales, which are truly constant
+        gains = np.array([[101.0, 100.0, 99.0], [3e-100, 2e-100, 1e-100],
+                          [3e100, 2e100, 1e100], [1e-100] * 3, [1e100] * 3])
+        *_, refusal = _fit_lines(*_roll_off_plane(np.array(f), gains)[:2], weighted)
+        assert refusal.tolist() == expected
+        assert "floating-point range" in _LINE_REFUSALS[3]
 
     def test_plane_names_the_rows_in_range(self):
         f = np.array([1e4, 2e4, 3e4])

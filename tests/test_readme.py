@@ -1,6 +1,6 @@
 """The README's examples, run as written: the command-line block, the Python
-API block and the config block; and the limits and exit codes it states,
-checked against the code."""
+API block and the config block; and the limits, exit codes and public names
+it states, checked against the code."""
 
 import json
 import re
@@ -11,6 +11,7 @@ from pathlib import Path
 import click
 from click.testing import CliRunner
 
+import opampfit
 from opampfit import RunConfig
 from opampfit.cli import EXIT_NUMERIC, EXIT_PARSE, MAX_TRIALS, main
 from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
@@ -39,6 +40,20 @@ def test_command_line_block_runs_in_order(tmp_path, monkeypatch):
 def test_python_api_block_runs():
     (block,) = fenced_blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_exported_name_exists():
+    assert [name for name in opampfit.__all__ if not hasattr(opampfit, name)] == []
+
+
+def test_named_api_is_exported():
+    section = README.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = fenced_blocks("python", section)
+    (imported,) = re.findall(r"^from opampfit import \((.*?)\)", block, flags=re.M | re.S)
+    (pieces,) = re.findall(r"^Lower-level pieces:(.*?)\.\s", section, flags=re.M | re.S)
+    named = re.findall(r"\w+", imported) + re.findall(r"`(\w+)`", pieces)
+    assert len(named) > 10
+    assert sorted(set(named) - set(opampfit.__all__)) == []
 
 
 def test_config_block_names_every_field():
