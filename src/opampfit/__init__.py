@@ -17,19 +17,16 @@ from .circuit import (
 from .distribution import (
     BatchDistribution,
     analyze_batch,
-    batch_stats,
     normal_reference_cdf,
 )
 from .extraction import (
     CalibrationWarning,
     CrossoverFrequencyFit,
     FitError,
-    FitResult,
     QuickCrossoverFit,
     SweepRangeError,
     SweepRecord,
     fit_f0,
-    quick_fit_f0,
 )
 from .fileio import (
     ParseError,
@@ -43,13 +40,10 @@ from .simulate import (
     NoiseModel,
     SimConfig,
     SimulationError,
-    Stimulus,
     SweepPlan,
     TimeSeries,
     add_gain_noise,
-    closed_loop_ode_rhs,
     lockin_demodulate,
-    rk4_step,
     run_sweep,
     simulate_steady_state,
 )
@@ -62,7 +56,6 @@ __all__ = [
     "CrossoverFrequencyFit",
     "DeviceParams",
     "FitError",
-    "FitResult",
     "NoiseModel",
     "NotFittedError",
     "ParseError",
@@ -70,7 +63,6 @@ __all__ = [
     "RunConfig",
     "SimConfig",
     "SimulationError",
-    "Stimulus",
     "SweepPlan",
     "SweepRangeError",
     "SweepRecord",
@@ -78,19 +70,15 @@ __all__ = [
     "Topology",
     "add_gain_noise",
     "analyze_batch",
-    "batch_stats",
     "closed_loop_gain",
-    "closed_loop_ode_rhs",
     "crossover_from_minus3db",
     "fit_f0",
     "inverse_gain_squared",
     "lockin_demodulate",
     "normal_reference_cdf",
     "quick_f0_general",
-    "quick_fit_f0",
     "read_batch_file",
     "read_sweep_file",
-    "rk4_step",
     "run_sweep",
     "simulate_steady_state",
     "write_batch_file",

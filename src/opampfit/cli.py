@@ -166,16 +166,16 @@ def synth(output, config_path, **overrides):
           f"truth f0 = {cfg.f0_hz!r} Hz")
 
 
-def _echo_fit_report(result):
-    _echo(f"points = {result.n_points}")
-    _echo(f"f0_hz = {result.f0_hz:.6g}")
-    _echo(f"f0_mhz = {result.f0_hz / 1e6:.6g}")
-    _echo(f"slope_per_hz2 = {result.slope:.6g}")
-    _echo(f"intercept = {result.intercept:.6g}")
-    if result.intercept_expected is not None:
-        _echo(f"intercept_expected = {result.intercept_expected:.6g}")
-        _echo(f"intercept_rel_dev = {result.intercept_rel_dev:.6g}")
-    _echo(f"corr = {result.corr:.6g}")
+def _echo_fit_report(est):
+    _echo(f"points = {est.n_points_}")
+    _echo(f"f0_hz = {est.f0_hz_:.6g}")
+    _echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
+    _echo(f"slope_per_hz2 = {est.slope_:.6g}")
+    _echo(f"intercept = {est.intercept_:.6g}")
+    if est.intercept_expected_ is not None:
+        _echo(f"intercept_expected = {est.intercept_expected_:.6g}")
+        _echo(f"intercept_rel_dev = {est.intercept_rel_dev_:.6g}")
+    _echo(f"corr = {est.corr_:.6g}")
 
 
 def _write_plot_data(directory, header: str, files: dict) -> None:
@@ -203,16 +203,16 @@ def fit(sweep_path, big_r, small_r, weighted, plot_dir):
         record = replace(record, feedback_r=big_r, gain_r=small_r)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CalibrationWarning)
-        result = fit_f0(record, weighted=weighted)
+        est = fit_f0(record, weighted=weighted)
     for w in caught:
         _echo(f"warning: {w.message}", err=True)
-    _echo_fit_report(result)
+    _echo_fit_report(est)
     if plot_dir is not None:
         u = record.frequency_hz**2
         u_line = np.linspace(u[0], u[-1], 256)
         _write_plot_data(plot_dir, "f_squared_hz2,inv_gain_squared", {
             "fit_points.csv": (u, 1.0 / record.gain**2),
-            "fit_line.csv": (u_line, result.intercept + result.slope * u_line),
+            "fit_line.csv": (u_line, est.intercept_ + est.slope_ * u_line),
         })
 
 
@@ -300,14 +300,14 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
         gains, noise_refusal = _noisy_gains(clean, cfg.sigma_rel, seeds)
         if noise_refusal is not None:
             gains = gains[:noise_refusal[0]]
-        slope, intercept, corr, expected, fit_refusal = _fit_rows(
+        slope, _, corr, _, rel_dev, fit_refusal = _fit_rows(
             clean.frequency_hz, gains, False, clean.feedback_r, clean.gain_r)
         refusal = fit_refusal or noise_refusal
         passed = len(seeds) if refusal is None else refusal[0]
         f0_values[start:start + passed] = 1.0 / np.sqrt(slope[:passed])
         corr_pass += int(np.count_nonzero(corr[:passed] >= corr_threshold))
-        if expected is not None:
-            for row, message in _calibration(intercept[:passed], expected)[1]:
+        if rel_dev is not None:
+            for row, message in _calibration(rel_dev[:passed]):
                 _echo(f"warning: trial {start + row}: {message}", err=True)
         if refusal is not None:
             _fail(EXIT_NUMERIC, f"trial {start + refusal[0]}: {refusal[1]}")

@@ -67,8 +67,11 @@ _LINE_REFUSALS = (
     _OUT_OF_RANGE,
 )
 _TINY = np.finfo(float).tiny
-_INTERCEPT_UNDERFLOW = ("the topology's ideal intercept (R/r + 1)^-2 underflows to 0, "
-                        "so the calibration cannot be checked")
+_INTERCEPT_UNDERFLOW = ("the topology's ideal intercept (R/r + 1)^-2 underflows the normal "
+                        "floating-point range, so the calibration cannot be checked")
+_DEVIATION_OUT_OF_RANGE = ("the fitted intercept's deviation from the topology's ideal value "
+                           "is out of floating-point range")
+_F0_OUT_OF_RANGE = "the crossover frequency is out of floating-point range"
 
 
 def _roll_off_plane(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,12 +151,14 @@ def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
     ``(rows, points)``) over the frequencies ``f``, each checked as one fit
     is, in this order: the range of the (f^2, 1/gain^2) plane, the line's
     refusals (no frequency spread, a regression sum out of that range, then
-    the rest), and an ideal intercept that underflows.
+    the rest), an ideal intercept below the normal range, and a relative
+    deviation from it that is out of range.
 
     Returns the per-row slope, intercept and corr of :func:`_fit_lines`,
-    the topology's ideal intercept (None without resistors, or when no row
-    gets that far), and the first refusal: ``(row, message)``, or None.
-    Rows from the refused one on are not meaningful.
+    the topology's ideal intercept and each row's relative deviation from
+    it (both None without resistors, or when no row gets that far), and
+    the first refusal: ``(row, message)``, or None.  Rows from the refused
+    one on are not meaningful.
     """
     u, v, in_range = _roll_off_plane(f, y)
     passed, refusal = len(y), None
@@ -167,17 +172,21 @@ def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
             passed = int(np.argmax(codes > 0))
             refusal = (passed, _LINE_REFUSALS[codes[passed] - 1])
     intercept_expected = _ideal_intercept(feedback_r, gain_r) if passed else None
-    if intercept_expected == 0.0:
+    rel_dev = None
+    if intercept_expected is not None and intercept_expected < _TINY:
         refusal = (0, _INTERCEPT_UNDERFLOW)
-    return slope, intercept, corr, intercept_expected, refusal
+    elif intercept_expected is not None:
+        with np.errstate(over="ignore"):  # a deviation past the float range is refused
+            rel_dev = (intercept[:passed] - intercept_expected) / intercept_expected
+        if not np.isfinite(rel_dev).all():
+            refusal = (int(np.argmin(np.isfinite(rel_dev))), _DEVIATION_OUT_OF_RANGE)
+    return slope, intercept, corr, intercept_expected, rel_dev, refusal
 
 
-def _calibration(intercept: np.ndarray, intercept_expected: float):
-    """Relative deviation of each fitted intercept from the topology's
-    ideal one, and the CalibrationWarning text of each row that deviates
-    more than 20 percent: ``[(row, message)]``."""
-    rel_dev = (intercept - intercept_expected) / intercept_expected
-    return rel_dev, [
+def _calibration(rel_dev: np.ndarray):
+    """The CalibrationWarning text of each row whose relative deviation from
+    the topology's ideal intercept exceeds 20 percent: ``[(row, message)]``."""
+    return [
         (int(row), f"fitted intercept deviates {rel_dev[row]:+.1%} from the topology's "
                    "ideal value; the gain calibration looks suspect")
         for row in np.flatnonzero(np.abs(rel_dev) > 0.20)
@@ -193,7 +202,6 @@ class SweepRecord:
     gain: np.ndarray
     feedback_r: float | None = None
     gain_r: float | None = None
-    label: str | None = None
 
     def __post_init__(self):
         f, y = _sweep_arrays(self.frequency_hz, self.gain)
@@ -208,23 +216,6 @@ class SweepRecord:
     @property
     def n_points(self) -> int:
         return self.frequency_hz.size
-
-    @property
-    def expected_intercept(self) -> float | None:
-        return _ideal_intercept(self.feedback_r, self.gain_r)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of the roll-off regression."""
-
-    f0_hz: float
-    slope: float
-    intercept: float
-    corr: float
-    n_points: int
-    intercept_expected: float | None = None
-    intercept_rel_dev: float | None = None
 
 
 class CrossoverFrequencyFit(ParamsMixin):
@@ -270,7 +261,7 @@ class CrossoverFrequencyFit(ParamsMixin):
 
     def fit(self, frequency_hz, gain) -> "CrossoverFrequencyFit":
         f, y = _sweep_arrays(frequency_hz, gain)
-        slope, intercept, corr, intercept_expected, refusal = _fit_rows(
+        slope, intercept, corr, intercept_expected, rel_dev, refusal = _fit_rows(
             f, y[np.newaxis], self.weighted, self.feedback_r, self.gain_r)
         # refused before any attribute is set, so a failed fit leaves the
         # estimator as it was
@@ -284,10 +275,9 @@ class CrossoverFrequencyFit(ParamsMixin):
         self.f0_hz_ = 1.0 / math.sqrt(self.slope_)
         self.intercept_expected_ = intercept_expected
         self.intercept_rel_dev_ = None
-        if intercept_expected is not None:
-            rel_dev, warned = _calibration(intercept, intercept_expected)
+        if rel_dev is not None:
             self.intercept_rel_dev_ = float(rel_dev[0])
-            for _, message in warned:
+            for _, message in _calibration(rel_dev):
                 warnings.warn(message, CalibrationWarning, stacklevel=2)
         return self
 
@@ -299,25 +289,14 @@ class CrossoverFrequencyFit(ParamsMixin):
         with np.errstate(invalid="ignore"):
             return 1.0 / np.sqrt(v_model)
 
-    def to_result(self) -> FitResult:
-        check_is_fitted(self, "f0_hz_")
-        return FitResult(
-            f0_hz=self.f0_hz_,
-            slope=self.slope_,
-            intercept=self.intercept_,
-            corr=self.corr_,
-            n_points=self.n_points_,
-            intercept_expected=self.intercept_expected_,
-            intercept_rel_dev=self.intercept_rel_dev_,
-        )
 
-
-def fit_f0(record: SweepRecord, weighted: bool = False) -> FitResult:
-    """Run the roll-off regression on a sweep record."""
+def fit_f0(record: SweepRecord, weighted: bool = False) -> CrossoverFrequencyFit:
+    """The roll-off regression of a sweep record, with the record's
+    resistors: the fitted :class:`CrossoverFrequencyFit`."""
     est = CrossoverFrequencyFit(
         feedback_r=record.feedback_r, gain_r=record.gain_r, weighted=weighted
     )
-    return est.fit(record.frequency_hz, record.gain).to_result()
+    return est.fit(record.frequency_hz, record.gain)
 
 
 class QuickCrossoverFit(ParamsMixin):
@@ -379,24 +358,21 @@ class QuickCrossoverFit(ParamsMixin):
             )
         hi = int(above[0])
         lo = hi - 1
-        u_cross = u[lo] + (v_target - v[lo]) * (u[hi] - u[lo]) / (v[hi] - v[lo])
+        with np.errstate(over="ignore"):  # an overflowed crossing is refused below
+            u_cross = u[lo] + (v_target - v[lo]) * (u[hi] - u[lo]) / (v[hi] - v[lo])
         f_fraction = math.sqrt(u_cross)
 
         if self.feedback_r is not None and self.gain_r is not None:
             scale = Topology(feedback_r=self.feedback_r, gain_r=self.gain_r).ideal_dc_gain
         else:
             scale = y0
+        f0 = scale * f_fraction / math.sqrt(self.n * self.n - 1.0)
+        # refused before any attribute is set, as a failed regression is
+        if not math.isfinite(f0):
+            raise FitError(_F0_OUT_OF_RANGE)
         self.baseline_gain_ = y0
         self.f_fraction_hz_ = f_fraction
         self.bracket_lo_ = (float(f[lo]), float(y[lo]))
         self.bracket_hi_ = (float(f[hi]), float(y[hi]))
-        self.f0_hz_ = scale * f_fraction / math.sqrt(self.n * self.n - 1.0)
+        self.f0_hz_ = f0
         return self
-
-
-def quick_fit_f0(record: SweepRecord, n: float = 2.0, baseline: str = "first") -> float:
-    """Quick crossover frequency (Hz) from one sweep record."""
-    est = QuickCrossoverFit(
-        n=n, feedback_r=record.feedback_r, gain_r=record.gain_r, baseline=baseline
-    )
-    return est.fit(record.frequency_hz, record.gain).f0_hz_

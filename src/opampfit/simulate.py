@@ -72,20 +72,6 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Stimulus:
-    """Sinusoidal test signal."""
-
-    amplitude: float
-    frequency: float
-
-    def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not self.frequency > 0.0:
-            raise ValueError(f"frequency must be positive, got {self.frequency!r}")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Integration step settings.
 
@@ -124,10 +110,6 @@ class TimeSeries:
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
 
 
 @dataclass(frozen=True)
@@ -175,20 +157,6 @@ class NoiseModel:
     def __post_init__(self):
         if not (self.sigma_rel >= 0.0 and math.isfinite(self.sigma_rel)):
             raise ValueError(f"sigma_rel must be finite and >= 0, got {self.sigma_rel!r}")
-
-
-def closed_loop_ode_rhs(dev: DeviceParams, topo: Topology, u_in: float, u_out: float) -> float:
-    """Right-hand side dU0/dt = (u_in - (beta + 1/g0)*u_out)/tau0 in V/s."""
-    return (u_in - (topo.beta + dev.inv_g0) * u_out) / dev.tau0
-
-
-def rk4_step(rhs, t: float, y: float, h: float) -> float:
-    """One classical 4th-order Runge-Kutta step of ``dy/dt = rhs(t, y)``."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2.0, y + h * k1 / 2.0)
-    k3 = rhs(t + h / 2.0, y + h * k2 / 2.0)
-    k4 = rhs(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4_affine(a: float, h):
@@ -324,39 +292,41 @@ def _plan_window(
     return n.astype(np.int64)
 
 
-def _sine_period(amplitude: float, frequency: float, dt: float, n_samples: int) -> np.ndarray:
-    """``amplitude * sin(2*pi*f*t)`` at ``t = 0, dt, ...``, built in place."""
+def _sine_period(frequency: float, dt: float, n_samples: int) -> np.ndarray:
+    """``sin(2*pi*f*t)`` at ``t = 0, dt, ...``, built in place."""
     wave = np.arange(n_samples) * dt
     wave *= TWO_PI * frequency
     np.sin(wave, out=wave)
-    wave *= amplitude
     return wave
 
 
 def simulate_steady_state(
     dev: DeviceParams,
     topo: Topology,
-    stim: Stimulus,
+    frequency: float,
     cfg: SimConfig | None = None,
 ) -> TimeSeries:
-    """Drive the closed loop with a sinusoid and record one period of its
-    periodic steady state.
+    """Drive the closed loop with a unit sinusoid of ``frequency`` Hz and
+    record one period of its periodic steady state; the loop is linear, so
+    another amplitude only scales the trace.
 
     The output is the exact periodic orbit of the RK4 map (see the module
     docstring): ``N + 1`` samples spanning one stimulus period with the
     endpoint included, so the last sample repeats the first.
     """
+    if not frequency > 0.0:
+        raise ValueError(f"frequency must be positive, got {frequency!r}")
     cfg = cfg or SimConfig()
-    n = int(_plan_window(dev, topo, stim.frequency, cfg)[0])
-    h = 1.0 / (stim.frequency * n)
+    n = int(_plan_window(dev, topo, frequency, cfg)[0])
+    h = 1.0 / (frequency * n)
 
     try:
-        drive = _sine_period(stim.amplitude, stim.frequency, h / 2.0, 2 * n + 1)
-        amp_step = _stable_affine(-_loop_rate(dev, topo), h, stim.frequency)
+        drive = _sine_period(frequency, h / 2.0, 2 * n + 1)
+        amp_step = _stable_affine(-_loop_rate(dev, topo), h, frequency)
         drive *= 1.0 / dev.tau0
         u = _integrate_linear(amp_step, drive, h)
     except SimulationError as err:
-        raise SimulationError(str(err), err.step_index, frequency=stim.frequency) from None
+        raise SimulationError(str(err), err.step_index, frequency=frequency) from None
     return TimeSeries(dt=h, samples=u)
 
 
@@ -370,8 +340,7 @@ def lockin_demodulate(ts: TimeSeries, reference_f: float) -> float:
     """
     if not reference_f > 0.0:
         raise ValueError(f"reference_f must be positive, got {reference_f!r}")
-    t = ts.times
-    span = t[-1]
+    span = (ts.samples.size - 1) * ts.dt
     if span <= 0.0:
         raise ValueError("time series must span at least one sample interval")
     cycles = span * reference_f
@@ -380,7 +349,7 @@ def lockin_demodulate(ts: TimeSeries, reference_f: float) -> float:
             f"time series spans {cycles:.6g} reference periods; demodulation "
             "requires a whole number of periods (within one sample)"
         )
-    phase = TWO_PI * reference_f * t
+    phase = TWO_PI * reference_f * (np.arange(ts.samples.size) * ts.dt)
     scale = 2.0 / span
     i_part = scale * np.trapezoid(ts.samples * np.cos(phase), dx=ts.dt)
     q_part = scale * np.trapezoid(ts.samples * np.sin(phase), dx=ts.dt)
@@ -486,6 +455,5 @@ def run_sweep(
         gain=gains,
         feedback_r=topo.feedback_r,
         gain_r=topo.gain_r,
-        label="synthetic",
     )
     return add_gain_noise(record, noise or NoiseModel(), seed)

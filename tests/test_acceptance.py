@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from opampfit import (
     DeviceParams,
     NoiseModel,
-    Stimulus,
+    QuickCrossoverFit,
     SweepPlan,
     SweepRecord,
     TimeSeries,
@@ -26,7 +26,6 @@ from opampfit import (
     fit_f0,
     lockin_demodulate,
     quick_f0_general,
-    quick_fit_f0,
     run_sweep,
     simulate_steady_state,
 )
@@ -48,8 +47,9 @@ def test_criterion_1_time_domain_matches_closed_form():
     worst = 0.0
     for f in np.logspace(3.0, 6.0, 10):
         f = float(f)
-        out = simulate_steady_state(dev, topo, Stimulus(1.0, f))
-        ref = TimeSeries(dt=out.dt, samples=np.sin(TWO_PI * f * out.times))
+        out = simulate_steady_state(dev, topo, f)
+        times = np.arange(out.samples.size) * out.dt
+        ref = TimeSeries(dt=out.dt, samples=np.sin(TWO_PI * f * times))
         simulated = lockin_demodulate(out, f) / lockin_demodulate(ref, f)
         oracle = abs(closed_loop_gain(dev, topo, f))
         worst = max(worst, abs(simulated / oracle - 1.0))
@@ -73,11 +73,11 @@ def test_criterion_2_noiseless_regression_round_trip():
     )
     result = fit_f0(record)
     elapsed = time.perf_counter() - started
-    rel_err = abs(result.f0_hz - truth) / truth
-    ok = rel_err <= 1e-4 and result.corr >= 1.0 - 1e-9 and elapsed <= 5.0
+    rel_err = abs(result.f0_hz_ - truth) / truth
+    ok = rel_err <= 1e-4 and result.corr_ >= 1.0 - 1e-9 and elapsed <= 5.0
     assert report(
         "criterion 2 (noiseless round trip)", ok,
-        f"f0 rel err {rel_err:.2e} (limit 1e-4), 1-corr {1.0 - result.corr:.2e} "
+        f"f0 rel err {rel_err:.2e} (limit 1e-4), 1-corr {1.0 - result.corr_:.2e} "
         f"(limit 1e-9), {elapsed:.1f}s (limit 5s)",
     )
 
@@ -107,7 +107,7 @@ def test_criterion_3_noise_robustness():
     for trial in range(100):
         record = add_gain_noise(clean, noise, (303, trial))
         result = fit_f0(record)
-        if result.corr >= 0.999 and abs(result.f0_hz - truth) / truth <= 0.01:
+        if result.corr_ >= 0.999 and abs(result.f0_hz_ - truth) / truth <= 0.01:
             good += 1
     elapsed = time.perf_counter() - started
     ok = good >= 95 and elapsed <= 60.0
@@ -118,7 +118,7 @@ def test_criterion_3_noise_robustness():
 
 
 def test_criterion_4_quick_method_consistency():
-    """quick_fit_f0(n=2) agrees with the regression within 0.1 % on noiseless
+    """QuickCrossoverFit(n=2) agrees with the regression within 0.1 % on noiseless
     sweeps, and the closed-form halving identity holds to 1e-9."""
     started = time.perf_counter()
     truth = 97.73e6
@@ -127,8 +127,8 @@ def test_criterion_4_quick_method_consistency():
     freqs = np.linspace(1e4, 3e6, 512)
     gains = np.array([abs(closed_loop_gain(dev, topo, float(f))) for f in freqs])
     record = SweepRecord(frequency_hz=freqs, gain=gains)
-    quick = quick_fit_f0(record, n=2.0)
-    regression = fit_f0(record).f0_hz
+    quick = QuickCrossoverFit(n=2.0).fit(record.frequency_hz, record.gain).f0_hz_
+    regression = fit_f0(record).f0_hz_
     method_dev = abs(quick - regression) / regression
 
     y0 = abs(closed_loop_gain(dev, topo, 0.0))

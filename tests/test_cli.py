@@ -28,7 +28,6 @@ from opampfit import (
     SweepRecord,
     Topology,
     add_gain_noise,
-    batch_stats,
     closed_loop_gain,
     fit_f0,
     read_batch_file,
@@ -39,6 +38,7 @@ from opampfit import (
 )
 from opampfit import cli, distribution
 from opampfit.cli import MAX_TRIALS, main
+from opampfit.distribution import batch_stats
 from opampfit.fileio import parse_metadata
 from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
 
@@ -413,7 +413,7 @@ class TestMc:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 16)
         oracle = [
-            fit_f0(run_sweep(dev, topo, plan, NoiseModel(1e-4), seed=(4, trial))).f0_hz
+            fit_f0(run_sweep(dev, topo, plan, NoiseModel(1e-4), seed=(4, trial))).f0_hz_
             for trial in range(3)
         ]
         ids, values, _ = read_batch_file(out)
@@ -560,8 +560,8 @@ def per_trial_mc(output, trials, cfg, corr_threshold):
                 stderr.append(f"error: trial {trial}: {err}")
                 return 4, "", "".join(line + "\n" for line in stderr)
         stderr += [f"warning: trial {trial}: {w.message}" for w in caught]
-        values.append(result.f0_hz)
-        corr_pass += result.corr >= corr_threshold
+        values.append(result.f0_hz_)
+        corr_pass += result.corr_ >= corr_threshold
     write_batch_file(output, [str(trial + 1) for trial in range(trials)], values,
                      cli._provenance("mc", cfg, trials=trials))
     stdout = [f"trials = {trials}"]
@@ -700,6 +700,9 @@ PROBE_FILES = {
     "small_gain.csv": b"frequency_hz,gain\n1e4,3e-100\n2e4,2e-100\n3e4,1e-100\n",
     "large_gain.csv": b"frequency_hz,gain\n1e4,3e100\n2e4,2e100\n3e4,1e100\n",
     "large_freq.csv": b"frequency_hz,gain\n1e150,3\n2e150,2\n3e150,1\n",
+    "tiny_line.csv": b"frequency_hz,gain\n1e4,3e-70\n2e4,2e-70\n3e4,1e-70\n",
+    "huge_freq.csv": b"frequency_hz,gain\n1e100,100\n2e100,90\n3e100,40\n",
+    "huge_plane.csv": b"frequency_hz,gain\n1e100,1e-100\n2e100,0.9e-100\n3e100,0.4e-100\n",
 }
 
 
@@ -737,6 +740,14 @@ PROBES = [
     (["fit", "large_gain.csv", "--weighted"], 4),
     (["fit", "large_freq.csv"], 4),
     (["fit", "large_freq.csv", "--weighted"], 4),
+    # the ideal intercept is subnormal, and the fitted one's deviation from
+    # a normal 1e-300 overflows
+    (["fit", "sweep.csv", "--R", "1e155", "--r", "1"], 4),
+    (["fit", "sweep.csv", "--R", "1e160", "--r", "1"], 4),
+    (["fit", "tiny_line.csv", "--R", "1e150", "--r", "1"], 4),
+    # quick's f0 overflows: the prefactor times f_(1/n), and the crossing
+    (["quick", "huge_freq.csv", "--n", "2", "--R", "1e300", "--r", "1"], 4),
+    (["quick", "huge_plane.csv"], 4),
 ]
 
 
@@ -757,8 +768,8 @@ def test_bad_input_exits_with_documented_code(runner, tmp_path, monkeypatch, arg
 BUDGET_S = 5.0
 
 NUMBER = st.one_of(
-    st.sampled_from([0.0, -1.0, 1e-320, 1e-3, 1.0, 2.0, 23.0, 1e4, 1e5, 3e6, 1e307, 1e308,
-                     math.inf, -math.inf, math.nan]),
+    st.sampled_from([0.0, -1.0, 1e-320, 1e-3, 1.0, 2.0, 23.0, 1e4, 1e5, 3e6, 1e150, 1e155,
+                     1e160, 1e307, 1e308, math.inf, -math.inf, math.nan]),
     st.floats(),
 )
 POINTS = st.one_of(st.integers(-1, 64), st.sampled_from([MAX_SWEEP_POINTS + 1, 10**30]))
@@ -871,4 +882,15 @@ def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
     assert "Traceback" not in result.output
     if result.exit_code in (3, 4):
         assert result.stderr.splitlines()[-1].startswith("error: ")
+    if result.exit_code == 0:
+        # every number a successful command computes is finite; mc's
+        # corr_threshold is its flag, echoed as given
+        report = parse_report(result.stdout)
+        report.pop("corr_threshold", None)
+        for name, value in report.items():
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            assert math.isfinite(number), (name, value)
     assert elapsed < BUDGET_S

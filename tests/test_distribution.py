@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opampfit import analyze_batch, batch_stats, normal_reference_cdf
+from opampfit import analyze_batch, normal_reference_cdf
+from opampfit.distribution import batch_stats
 
 SQRT2 = math.sqrt(2.0)
 

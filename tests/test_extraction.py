@@ -24,9 +24,8 @@ from opampfit import (
     Topology,
     closed_loop_gain,
     fit_f0,
-    quick_fit_f0,
 )
-from opampfit.extraction import _LINE_REFUSALS, _fit_lines, _roll_off_plane
+from opampfit.extraction import _LINE_REFUSALS, _fit_lines, _fit_rows, _roll_off_plane
 
 
 def synthetic_record(f0, feedback_r, gain_r, f_min, f_max, n, sigma=0.0, seed=None,
@@ -41,6 +40,18 @@ def synthetic_record(f0, feedback_r, gain_r, f_min, f_max, n, sigma=0.0, seed=No
         gains = gains * (1.0 + sigma * rng.standard_normal(n))
     meta = dict(feedback_r=feedback_r, gain_r=gain_r) if with_meta else {}
     return SweepRecord(frequency_hz=freqs, gain=gains, **meta)
+
+
+def quick_f0(record, n=2.0, baseline="first"):
+    """QuickCrossoverFit's f0 of a sweep record, with the record's resistors."""
+    est = QuickCrossoverFit(n=n, feedback_r=record.feedback_r, gain_r=record.gain_r,
+                            baseline=baseline)
+    return est.fit(record.frequency_hz, record.gain).f0_hz_
+
+
+def fitted_attributes(est):
+    """An estimator's fitted, trailing-underscore attributes by name."""
+    return {name: value for name, value in vars(est).items() if name.endswith("_")}
 
 
 class TestSweepRecord:
@@ -62,9 +73,10 @@ class TestSweepRecord:
             rec.gain[0] = 5.0
 
     def test_expected_intercept(self):
-        rec = SweepRecord([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], feedback_r=100.0, gain_r=1.0)
-        assert rec.expected_intercept == pytest.approx(101.0**-2, rel=1e-12)
-        assert SweepRecord([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]).expected_intercept is None
+        rec = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 1e5, 16)
+        assert fit_f0(rec).intercept_expected_ == pytest.approx(101.0**-2, rel=1e-12)
+        bare = SweepRecord(rec.frequency_hz, rec.gain)
+        assert fit_f0(bare).intercept_expected_ is None
 
 
 @pytest.mark.parametrize("estimator", [CrossoverFrequencyFit(), QuickCrossoverFit()])
@@ -120,10 +132,10 @@ class TestFitF0:
     def test_noiseless_recovery(self):
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 256)
         result = fit_f0(record)
-        assert result.f0_hz == pytest.approx(39.6e6, rel=1e-9)
-        assert result.corr >= 1.0 - 1e-12
-        assert result.slope == pytest.approx(1.0 / 39.6e6**2, rel=1e-9)
-        assert abs(result.intercept_rel_dev) < 1e-6
+        assert result.f0_hz_ == pytest.approx(39.6e6, rel=1e-9)
+        assert result.corr_ >= 1.0 - 1e-12
+        assert result.slope_ == pytest.approx(1.0 / 39.6e6**2, rel=1e-9)
+        assert abs(result.intercept_rel_dev_) < 1e-6
 
     def test_three_collinear_points(self):
         # u = f^2 on (1, 2, 3): v = c + b*u must be reproduced exactly
@@ -132,8 +144,8 @@ class TestFitF0:
         f = np.sqrt(u)
         y = 1.0 / np.sqrt(c + b * u)
         result = fit_f0(SweepRecord(frequency_hz=f, gain=y))
-        assert result.slope == pytest.approx(b, rel=1e-12)
-        assert result.intercept == pytest.approx(c, rel=1e-12)
+        assert result.slope_ == pytest.approx(b, rel=1e-12)
+        assert result.intercept_ == pytest.approx(c, rel=1e-12)
 
     def test_flat_sweep_rejected(self):
         rec = SweepRecord([1e4, 2e4, 3e4], [100.0, 100.0, 100.0])
@@ -150,7 +162,7 @@ class TestFitF0:
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 128)
         plain = fit_f0(record)
         weighted = fit_f0(record, weighted=True)
-        assert weighted.f0_hz == pytest.approx(plain.f0_hz, rel=1e-9)
+        assert weighted.f0_hz_ == pytest.approx(plain.f0_hz_, rel=1e-9)
 
     def test_monte_carlo_at_lockin_grade_noise(self):
         """At the 10-100 kHz geometry a 3e-5 relative gain noise reproduces
@@ -163,7 +175,7 @@ class TestFitF0:
             rng = np.random.default_rng([101, trial])
             gains = clean.gain * (1.0 + 3e-5 * rng.standard_normal(512))
             result = fit_f0(SweepRecord(clean.frequency_hz, gains))
-            if result.corr >= 0.999 and abs(result.f0_hz - truth) / truth <= 0.01:
+            if result.corr_ >= 0.999 and abs(result.f0_hz_ - truth) / truth <= 0.01:
                 good += 1
         assert good >= 95
 
@@ -185,8 +197,8 @@ class TestFitF0:
             rng = np.random.default_rng([103, trial])
             gains = clean.gain * (1.0 + sigma * rng.standard_normal(512))
             result = fit_f0(SweepRecord(clean.frequency_hz, gains))
-            estimates.append(result.f0_hz)
-            corrs.append(result.corr)
+            estimates.append(result.f0_hz_)
+            corrs.append(result.corr_)
         spread = np.std(estimates, ddof=1) / np.mean(estimates)
         assert spread == pytest.approx(predicted_rel_spread, rel=0.35)
         assert np.median(corrs) < 0.7
@@ -198,14 +210,14 @@ class TestFitInvariants:
     def test_recovery_grid(self, f0, beta_inv):
         corner = f0 / beta_inv
         record = synthetic_record(f0, beta_inv - 1.0, 1.0, corner / 100.0, 3.0 * corner, 128)
-        assert fit_f0(record).f0_hz == pytest.approx(f0, rel=1e-6)
+        assert fit_f0(record).f0_hz_ == pytest.approx(f0, rel=1e-6)
 
     def test_frequency_unit_covariance(self):
         base = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64, with_meta=False)
         scaled = SweepRecord(base.frequency_hz * 1e3, base.gain)
         r1, r2 = fit_f0(base), fit_f0(scaled)
-        assert r2.f0_hz == pytest.approx(1e3 * r1.f0_hz, rel=1e-12)
-        assert r2.corr == pytest.approx(r1.corr, abs=1e-12)
+        assert r2.f0_hz_ == pytest.approx(1e3 * r1.f0_hz_, rel=1e-12)
+        assert r2.corr_ == pytest.approx(r1.corr_, abs=1e-12)
 
     @settings(max_examples=30)
     @given(c=st.floats(0.05, 20.0), f0=st.floats(1e7, 1e9))
@@ -215,10 +227,10 @@ class TestFitInvariants:
         base = synthetic_record(f0, 1989.0, 20.1, 1e4, 2e6, 64, with_meta=False)
         scaled = SweepRecord(base.frequency_hz, base.gain * c)
         r1, r2 = fit_f0(base), fit_f0(scaled)
-        assert r2.slope == pytest.approx(r1.slope / c**2, rel=1e-12)
-        assert r2.intercept == pytest.approx(r1.intercept / c**2, rel=1e-9)
-        assert r2.f0_hz == pytest.approx(c * r1.f0_hz, rel=1e-12)
-        assert r2.corr == pytest.approx(r1.corr, abs=1e-12)
+        assert r2.slope_ == pytest.approx(r1.slope_ / c**2, rel=1e-12)
+        assert r2.intercept_ == pytest.approx(r1.intercept_ / c**2, rel=1e-9)
+        assert r2.f0_hz_ == pytest.approx(c * r1.f0_hz_, rel=1e-12)
+        assert r2.corr_ == pytest.approx(r1.corr_, abs=1e-12)
 
     def test_noise_degrades_corr_monotonically(self):
         clean = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 2.5e6, 256)
@@ -228,7 +240,7 @@ class TestFitInvariants:
             for trial in range(30):
                 rng = np.random.default_rng([107, trial])
                 gains = clean.gain * (1.0 + sigma * rng.standard_normal(clean.n_points))
-                corrs.append(fit_f0(SweepRecord(clean.frequency_hz, gains)).corr)
+                corrs.append(fit_f0(SweepRecord(clean.frequency_hz, gains)).corr_)
             mean_corr.append(np.mean(corrs))
         assert mean_corr[0] > mean_corr[1] > mean_corr[2]
 
@@ -241,7 +253,7 @@ class TestFitInvariants:
             rng = np.random.default_rng([109, trial])
             gains = clean.gain * (1.0 + 1e-4 * rng.standard_normal(clean.n_points))
             rec = SweepRecord(clean.frequency_hz, gains)
-            diffs.append(quick_fit_f0(rec) - fit_f0(rec).f0_hz)
+            diffs.append(quick_f0(rec) - fit_f0(rec).f0_hz_)
         diffs = np.array(diffs)
         spread = diffs.std(ddof=1)
         assert np.mean(np.abs(diffs) <= 3.0 * spread) >= 0.97
@@ -251,20 +263,20 @@ class TestFitInvariants:
 class TestQuickFit:
     def test_matches_regression_on_noiseless_sweep(self):
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 512, with_meta=False)
-        quick = quick_fit_f0(record, n=2.0)
-        regression = fit_f0(record).f0_hz
+        quick = quick_f0(record, n=2.0)
+        regression = fit_f0(record).f0_hz_
         assert abs(quick - regression) / regression < 1e-3
 
     @pytest.mark.parametrize("n", [1.0, 0.5])
     def test_rejects_n_at_most_one(self, n):
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 64)
         with pytest.raises(ValueError):
-            quick_fit_f0(record, n=n)
+            quick_f0(record, n=n)
 
     def test_narrow_sweep_reports_attainable_n(self):
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 1e5, 64, with_meta=False)
         with pytest.raises(SweepRangeError, match="sweep range too narrow") as excinfo:
-            quick_fit_f0(record, n=2.0)
+            quick_f0(record, n=2.0)
         expected_max = record.gain[0] / record.gain.min()
         assert excinfo.value.max_attainable_n == pytest.approx(expected_max, rel=1e-12)
 
@@ -272,7 +284,7 @@ class TestQuickFit:
         # (n/y0)^2 overflows, so no sweep point can reach the drop
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 64, with_meta=False)
         with pytest.raises(SweepRangeError, match="too narrow for n = 1e\\+200"):
-            quick_fit_f0(record, n=1e200)
+            quick_f0(record, n=1e200)
 
     def test_topology_variant_is_gain_scale_invariant(self):
         base = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 256)  # carries meta
@@ -282,9 +294,9 @@ class TestQuickFit:
         without_meta = SweepRecord(base.frequency_hz, scaled_gain)
         # known topology pins the prefactor, so a miscalibrated gain cancels;
         # the measured-y0 variant inherits the scale error linearly
-        assert quick_fit_f0(with_meta) == pytest.approx(quick_fit_f0(base), rel=1e-12)
-        assert quick_fit_f0(without_meta) == pytest.approx(
-            0.9 * quick_fit_f0(base_free), rel=1e-9
+        assert quick_f0(with_meta) == pytest.approx(quick_f0(base), rel=1e-12)
+        assert quick_f0(without_meta) == pytest.approx(
+            0.9 * quick_f0(base_free), rel=1e-9
         )
 
     def test_low_decile_baseline(self):
@@ -295,8 +307,8 @@ class TestQuickFit:
         freqs = np.geomspace(1e3, 3e6, 256)
         gains = np.array([abs(closed_loop_gain(dev, topo, float(f))) for f in freqs])
         record = SweepRecord(freqs, gains)
-        first = quick_fit_f0(record, baseline="first")
-        decile = quick_fit_f0(record, baseline="low_decile")
+        first = quick_f0(record, baseline="first")
+        decile = quick_f0(record, baseline="low_decile")
         assert decile == pytest.approx(first, rel=1e-3)
 
     def test_first_point_must_be_flat(self):
@@ -305,7 +317,7 @@ class TestQuickFit:
         gains = np.concatenate(([5.0], np.linspace(100.0, 90.0, 25)))
         record = SweepRecord(freqs, gains)
         with pytest.raises(FitError, match="flat region"):
-            quick_fit_f0(record, n=2.0, baseline="low_decile")
+            quick_f0(record, n=2.0, baseline="low_decile")
 
     def test_device_batch_spread_tracks_gain_noise(self):
         """Coarse oscilloscope-style sweeps with 3 % amplitude noise give a
@@ -319,7 +331,7 @@ class TestQuickFit:
         for trial in range(300):
             rng = np.random.default_rng([113, trial])
             gains = clean.gain * (1.0 + 0.03 * rng.standard_normal(25))
-            estimates.append(quick_fit_f0(SweepRecord(clean.frequency_hz, gains)))
+            estimates.append(quick_f0(SweepRecord(clean.frequency_hz, gains)))
         estimates = np.array(estimates)
         rel_sigma = estimates.std(ddof=1) / estimates.mean()
         assert 0.015 < rel_sigma < 0.06
@@ -354,17 +366,18 @@ class TestEstimatorApi:
         with pytest.raises(FitError, match="underflows"):
             est.fit(record.frequency_hz, record.gain)
         with pytest.raises(NotFittedError):
-            est.to_result()
+            est.predict(record.frequency_hz)
 
     def test_failed_refit_keeps_the_previous_fit(self):
         est = CrossoverFrequencyFit(feedback_r=1989.0, gain_r=20.1)
         first = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
-        before = est.fit(first.frequency_hz, first.gain).to_result()
+        before = fitted_attributes(est.fit(first.frequency_hz, first.gain))
+        assert {"f0_hz_", "intercept_rel_dev_"} <= set(before)
         est.set_params(feedback_r=1e200, gain_r=1.0)
         second = synthetic_record(97.73e6, 100.0, 1.0, 1e4, 2e6, 64)
         with pytest.raises(FitError, match="underflows"):
             est.fit(second.frequency_hz, second.gain)
-        assert est.to_result() == before
+        assert fitted_attributes(est) == before
 
     def test_quick_estimator_exposes_bracket(self):
         record = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 64, with_meta=False)
@@ -465,3 +478,35 @@ class TestBatchedLineFit:
         assert in_range.tolist() == [True, False, False]
         with pytest.raises(FitError, match="out of floating-point range"):
             CrossoverFrequencyFit().fit(f, gains[1])
+
+
+class TestOutOfRangeReadouts:
+    @pytest.mark.filterwarnings("error")
+    def test_deviation_out_of_range_is_refused(self):
+        # a normal ideal intercept of 1e-300 against a fitted one near -8e138
+        est = CrossoverFrequencyFit(feedback_r=1e150, gain_r=1.0)
+        with pytest.raises(FitError, match="deviation .* out of floating-point range"):
+            est.fit([1e4, 2e4, 3e4], [3e-70, 2e-70, 1e-70])
+        with pytest.raises(NotFittedError):
+            est.predict([1e4])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_are_refused_at_their_first_out_of_range_deviation(self):
+        f = np.array([1e4, 2e4, 3e4])
+        gains = np.array([[3.0, 2.0, 1.0], [3e-70, 2e-70, 1e-70], [3e-80, 2e-80, 1e-80]])
+        *_, rel_dev, refusal = _fit_rows(f, gains, False, 1e150, 1.0)
+        assert np.isfinite(rel_dev[0]) and refusal[0] == 1
+        assert "deviation" in refusal[1]
+
+    @pytest.mark.parametrize("freqs,gains,resistors", [
+        # the topology's prefactor times f_(1/n) overflows
+        ([1e100, 2e100, 3e100], [100.0, 90.0, 40.0], (1e300, 1.0)),
+        # the crossing's interpolation overflows
+        ([1e100, 2e100, 3e100], [1e-100, 0.9e-100, 0.4e-100], (None, None)),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_quick_f0_out_of_range_is_refused(self, freqs, gains, resistors):
+        est = QuickCrossoverFit(n=2.0, feedback_r=resistors[0], gain_r=resistors[1])
+        with pytest.raises(FitError, match="crossover frequency is out of floating-point range"):
+            est.fit(freqs, gains)
+        assert fitted_attributes(est) == {}

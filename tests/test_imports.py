@@ -37,10 +37,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 TRACE = """
 import json, sys
-from opampfit import DeviceParams, Stimulus, Topology, simulate_steady_state
+from opampfit import DeviceParams, Topology, simulate_steady_state
 
-trace = simulate_steady_state(DeviceParams(f0=97.73e6), Topology(100.0, 1.0),
-                              Stimulus(1.0, 1e5))
+trace = simulate_steady_state(DeviceParams(f0=97.73e6), Topology(100.0, 1.0), 1e5)
 assert trace.samples.size > 1
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """

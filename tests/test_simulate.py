@@ -14,16 +14,13 @@ from opampfit import (
     NoiseModel,
     SimConfig,
     SimulationError,
-    Stimulus,
     SweepPlan,
     TimeSeries,
     Topology,
     add_gain_noise,
     closed_loop_gain,
-    closed_loop_ode_rhs,
     fit_f0,
     lockin_demodulate,
-    rk4_step,
     run_sweep,
     simulate_steady_state,
 )
@@ -33,11 +30,25 @@ from opampfit.simulate import MAX_SWEEP_POINTS, _noisy_gains
 TWO_PI = 2.0 * math.pi
 
 
+def closed_loop_ode_rhs(dev, topo, u_in, u_out):
+    """Right-hand side dU0/dt = (u_in - (beta + 1/g0)*u_out)/tau0 in V/s."""
+    return (u_in - (topo.beta + dev.inv_g0) * u_out) / dev.tau0
+
+
+def rk4_step(rhs, t, y, h):
+    """One classical 4th-order Runge-Kutta step of ``dy/dt = rhs(t, y)``."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2.0, y + h * k1 / 2.0)
+    k3 = rhs(t + h / 2.0, y + h * k2 / 2.0)
+    k4 = rhs(t + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def simulated_gain(dev, topo, f, cfg=None):
     """End-to-end amplitude ratio, demodulating both stimulus and output."""
-    stim = Stimulus(amplitude=1.0, frequency=f)
-    out = simulate_steady_state(dev, topo, stim, cfg)
-    ref = TimeSeries(dt=out.dt, samples=np.sin(TWO_PI * f * out.times))
+    out = simulate_steady_state(dev, topo, f, cfg)
+    times = np.arange(out.samples.size) * out.dt
+    ref = TimeSeries(dt=out.dt, samples=np.sin(TWO_PI * f * times))
     return lockin_demodulate(out, f) / lockin_demodulate(ref, f)
 
 
@@ -126,8 +137,14 @@ class TestSimulateSteadyState:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
         with pytest.raises(SimulationError) as excinfo:
-            simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg)
+            simulate_steady_state(dev, topo, 1e4, cfg)
         assert excinfo.value.step_index > 0
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan])
+    def test_rejects_a_frequency_that_is_not_positive(self, frequency):
+        dev = DeviceParams(f0=1e8)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            simulate_steady_state(dev, Topology.repeater(), frequency)
 
     def test_slow_loop_near_corner_matches_closed_form(self):
         # at f >> f_corner the loop decays by only exp(-1.6) per period, so
@@ -166,7 +183,7 @@ class TestSimulateInvariants:
         topo = Topology(feedback_r=30.0, gain_r=10.0)
         f = 1e4
         cfg = SimConfig(steps_per_period=256, steps_per_tau=16)
-        out = simulate_steady_state(dev, topo, Stimulus(1.0, f), cfg)
+        out = simulate_steady_state(dev, topo, f, cfg)
 
         n = round(1.0 / (f * out.dt))
         h = out.dt
@@ -193,7 +210,7 @@ class TestSimulateInvariants:
         ],
     )
     def test_trace_is_one_period_of_the_orbit(self, f0, topo, f):
-        out = simulate_steady_state(DeviceParams(f0=f0), topo, Stimulus(1.0, f))
+        out = simulate_steady_state(DeviceParams(f0=f0), topo, f)
         assert (out.samples.size - 1) * out.dt * f == pytest.approx(1.0, rel=1e-12)
         assert out.samples[-1] == pytest.approx(out.samples[0], rel=1e-12)
 
@@ -204,7 +221,7 @@ class TestSimulateInvariants:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         dev = DeviceParams(f0=1e8)
         with pytest.raises(SimulationError, match="unstable") as excinfo:
-            simulate_steady_state(dev, topo, Stimulus(1.0, 1e4), cfg)
+            simulate_steady_state(dev, topo, 1e4, cfg)
         assert excinfo.value.step_index > 0
         assert excinfo.value.frequency == 1e4
 
@@ -259,7 +276,7 @@ class TestRunSweep:
             SweepPlan(1e4, 1e5, 64),
         )
         result = fit_f0(record)
-        assert result.f0_hz == pytest.approx(9.773e7, rel=1e-4)
+        assert result.f0_hz_ == pytest.approx(9.773e7, rel=1e-4)
         assert record.feedback_r == 100.0 and record.gain_r == 1.0
 
     def test_noise_stays_within_five_sigma(self):
@@ -349,8 +366,7 @@ class TestAddGainNoise:
         assert np.array_equal(reused.gain, direct.gain)
         assert np.array_equal(reused.frequency_hz, direct.frequency_hz)
         assert np.array_equal(direct.gain, noise_oracle(clean, 3e-3, words))
-        assert (reused.feedback_r, reused.gain_r, reused.label) == (
-            direct.feedback_r, direct.gain_r, direct.label)
+        assert (reused.feedback_r, reused.gain_r) == (direct.feedback_r, direct.gain_r)
 
     def test_noiseless_model_returns_record(self):
         clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8))
@@ -428,7 +444,7 @@ def trace_sweep(dev, topo, plan, cfg=None):
     """Sweep gains read off the time-domain trace API, point by point."""
     gains = []
     for f in plan.frequencies():
-        out = simulate_steady_state(dev, topo, Stimulus(1.0, float(f)), cfg)
+        out = simulate_steady_state(dev, topo, float(f), cfg)
         gains.append(lockin_demodulate(out, float(f)))
     return np.array(gains)
 
@@ -444,23 +460,57 @@ def assert_same_sweep_error(dev, topo, plan, cfg=None):
     assert got.value.step_index == expected.value.step_index
 
 
+def map_orbit_gains(dev, topo, plan):
+    """Sweep gains of the periodic orbit of the RK4 step map, the formula of
+    ``_orbit_response``, evaluated at 40 digits with mpmath on the same float
+    steps ``h``, loop rate and ``1/tau0`` that ``run_sweep`` uses."""
+    mp = pytest.importorskip("mpmath")
+    freqs = plan.frequencies()
+    steps = 1.0 / (freqs * simulate._plan_window(dev, topo, freqs, SimConfig()))
+    rate = mp.mpf(-simulate._loop_rate(dev, topo))
+    gains = []
+    with mp.workdps(40):
+        for f, h in zip(map(mp.mpf, freqs.tolist()), map(mp.mpf, steps.tolist())):
+            z = rate * h
+            a_m1 = z * (1 + z * (mp.mpf(1) / 2 + z * (mp.mpf(1) / 6 + z / 24)))
+            c1 = 1 + z * (1 + z * (mp.mpf(1) / 2 + z / 4))
+            c2 = 4 + z * (2 + z / 2)
+            half = mp.expjpi(f * h)  # exp(j*w*h/2)
+            response = h / 6 * (c1 + c2 * half + half * half) / (half * half - 1 - a_m1)
+            gains.append(float(abs(response) * (1.0 / dev.tau0)))
+    return np.array(gains)
+
+
+SWEEP_PLANS = [
+    pytest.param(97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(), id="default"),
+    pytest.param(97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(1e4, 1e6, 512),
+                 id="criterion-3"),
+    pytest.param(39.6e6, Topology(feedback_r=1989.0, gain_r=20.1),
+                 SweepPlan(1e3, 1e7, 64, spacing="log"), id="log"),
+]
+
+
 class TestSweepMatchesTrace:
-    @pytest.mark.parametrize(
-        "f0, topo, plan",
-        [
-            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan()),
-            (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), SweepPlan(1e4, 1e6, 512)),
-            (39.6e6, Topology(feedback_r=1989.0, gain_r=20.1),
-             SweepPlan(1e3, 1e7, 64, spacing="log")),
-        ],
-        ids=["default", "criterion-3", "log"],
-    )
+    @pytest.mark.parametrize("f0, topo, plan", SWEEP_PLANS)
     def test_every_point_equals_the_trace_lockin(self, f0, topo, plan):
         dev = DeviceParams(f0=f0)
         record = run_sweep(dev, topo, plan)
         np.testing.assert_array_equal(record.frequency_hz, plan.frequencies())
         np.testing.assert_allclose(
             record.gain, trace_sweep(dev, topo, plan), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("f0, topo, plan", SWEEP_PLANS + [
+        # the slowest points the default loop plans, ~3e6 steps per period
+        pytest.param(97.73e6, Topology(feedback_r=100.0, gain_r=1.0),
+                     SweepPlan(30.0, 1e3, 64, spacing="log"), id="30Hz-1kHz-log"),
+    ])
+    def test_every_point_is_within_1e_15_of_a_40_digit_map(self, f0, topo, plan):
+        # the README's accuracy claim for run_sweep
+        dev = DeviceParams(f0=f0)
+        record = run_sweep(dev, topo, plan)
+        np.testing.assert_allclose(
+            record.gain, map_orbit_gains(dev, topo, plan), rtol=1e-15, atol=0.0
         )
 
     @settings(max_examples=25)
