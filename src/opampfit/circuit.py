@@ -22,54 +22,33 @@ from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Single-pole op-amp model parameters.
+    """Single-pole op-amp model parameters: the crossover frequency ``f0``
+    (Hz, positive and finite) and the DC open-loop gain ``g0`` (above 1;
+    ``math.inf``, the default, is the ideal-device limit).  ``f0`` is stored
+    verbatim, so it round-trips bit-exactly; ``tau0 = 1/(2*pi*f0)`` is
+    derived once and agrees with the identity to within one ulp."""
 
-    Exactly one of ``f0`` (crossover frequency, Hz) and ``tau0`` (open-loop
-    time constant, s) must be given; the other is derived once through
-    ``2*pi*f0*tau0 = 1``.  The given member is stored verbatim, so it
-    round-trips bit-exactly; the derived member agrees with the identity to
-    within one ulp.
-
-    Parameters
-    ----------
-    f0 : float, optional
-        Crossover frequency in Hz (> 0).
-    g0 : float
-        DC open-loop gain, dimensionless.  Must exceed 1; ``math.inf``
-        selects the ideal-device limit (the default analysis mode).
-    tau0 : float, optional
-        Open-loop time constant in seconds (> 0).
-    """
-
-    f0: float | None = None
+    f0: float
     g0: float = math.inf
-    tau0: float | None = None
+    tau0: float = field(init=False)
 
     def __post_init__(self):
-        if (self.f0 is None) == (self.tau0 is None):
-            raise ValueError("specify exactly one of f0 or tau0")
-        if self.f0 is None:
-            tau0 = float(self.tau0)
-            if not (tau0 > 0.0) or math.isinf(tau0):
-                raise ValueError(f"tau0 must be positive and finite, got {tau0!r}")
-            object.__setattr__(self, "tau0", tau0)
-            object.__setattr__(self, "f0", 1.0 / (TWO_PI * tau0))
-        else:
-            f0 = float(self.f0)
-            if not (f0 > 0.0) or math.isinf(f0):
-                raise ValueError(f"f0 must be positive and finite, got {f0!r}")
-            object.__setattr__(self, "f0", f0)
-            object.__setattr__(self, "tau0", 1.0 / (TWO_PI * f0))
-        if not (0.0 < self.f0 < math.inf and 0.0 < self.tau0 < math.inf):
-            raise ValueError(f"f0 ({self.f0!r} Hz) and tau0 ({self.tau0!r} s) must both be "
+        f0 = float(self.f0)
+        if not (f0 > 0.0) or math.isinf(f0):
+            raise ValueError(f"f0 must be positive and finite, got {f0!r}")
+        tau0 = 1.0 / (TWO_PI * f0)
+        if not 0.0 < tau0 < math.inf:
+            raise ValueError(f"f0 ({f0!r} Hz) and tau0 ({tau0!r} s) must both be "
                              f"positive and finite")
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "tau0", tau0)
         g0 = float(self.g0)
         if not g0 > 1.0:
             raise ValueError(f"g0 must exceed 1, got {g0!r}")
@@ -141,22 +120,14 @@ def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> complex:
     return 1.0 / complex(topo.beta + dev.inv_g0, TWO_PI * f * dev.tau0)
 
 
-def inverse_gain_squared(
-    dev: DeviceParams, topo: Topology, f: float, include_finite_gain: bool = False
-) -> float:
-    """Reciprocal gain power ``1/|Y(f)|^2`` in the straight-line form.
-
-    By default evaluates the infinite-``g0`` limit ``beta^2 + (f/f0)^2``,
-    whose intercept is the ideal ``1/(R/r + 1)^2``.  With
-    ``include_finite_gain=True`` the 1/g0 term is folded into the intercept,
-    giving ``(beta + 1/g0)^2 + (f/f0)^2``, which matches
-    ``abs(closed_loop_gain(...))**-2`` identically.
-    """
+def inverse_gain_squared(dev: DeviceParams, topo: Topology, f: float) -> float:
+    """Reciprocal gain power in the infinite-``g0`` straight-line form,
+    ``beta^2 + (f/f0)^2``, whose intercept is the ideal ``1/(R/r + 1)^2``.
+    The finite-``g0`` value is ``abs(closed_loop_gain(...))**-2``."""
     if f < 0.0:
         raise ValueError(f"frequency must be >= 0, got {f!r}")
-    a = topo.beta + (dev.inv_g0 if include_finite_gain else 0.0)
     x = f / dev.f0
-    return a * a + x * x
+    return topo.beta * topo.beta + x * x
 
 
 def quick_f0_general(topo: Topology, n: float, f_fraction: float) -> float:

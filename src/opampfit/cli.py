@@ -41,7 +41,7 @@ from .fileio import (
     write_batch_file,
     write_sweep_file,
 )
-from .simulate import SimulationError, _noisy_gains, run_sweep
+from .simulate import SimulationError, _noisy_gains, add_gain_noise, run_sweep
 
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
@@ -157,9 +157,9 @@ def main():
 def synth(output, config_path, **overrides):
     """Simulate a frequency sweep and write it as a sweep CSV."""
     cfg = _run_config(config_path, overrides)
-    record = run_sweep(
-        cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg.noise(),
-        cfg.sim_config(), seed=cfg.seed,
+    record = add_gain_noise(
+        run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config()),
+        cfg.noise(), cfg.seed,
     )
     write_sweep_file(output, record, _provenance("synth", cfg))
     _echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
@@ -246,9 +246,9 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
               help="Directory for ECDF and fitted-CDF CSVs.")
 def batch(batch_path, plot_dir):
     """Distribution report over a batch of fitted f0 values."""
-    ids, values, _ = read_batch_file(batch_path)
+    _, values, _ = read_batch_file(batch_path)
     try:
-        dist = analyze_batch(values, ids=tuple(ids))
+        dist = analyze_batch(values)
         mean, stddev = dist.mean_hz, dist.stddev_hz
     except _ZeroSpreadError as err:
         dist, mean, stddev = None, err.mean, 0.0
@@ -287,8 +287,10 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
     writes the fitted f0 values as a batch CSV (one row per trial).  The
     trials are drawn and fitted as arrays, a block of them at a time, and
     the result equals running synth+fit per trial, bit-for-bit."""
+    if not -1.0 <= corr_threshold <= 1.0:  # NaN too: a correlation lies in [-1, 1]
+        raise click.BadParameter("must lie in [-1, 1]", param_hint="--corr-threshold")
     cfg = _run_config(config_path, overrides)
-    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
+    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config())
     f0_values = np.empty(trials)
     corr_pass = 0
     block = max(1, _MC_BLOCK_GAINS // clean.n_points)

@@ -64,7 +64,6 @@ class _ZeroSpreadError(ValueError):
 class BatchDistribution:
     """Full distribution report for one batch of f0 measurements."""
 
-    samples_hz: np.ndarray
     n: int
     mean_hz: float
     stddev_hz: float
@@ -73,7 +72,6 @@ class BatchDistribution:
     kolmogorov_d: float
     kolmogorov_d_onesided: float
     cdf_corr: float
-    ids: tuple[str, ...] | None = None
 
     @property
     def relative_spread(self) -> float:
@@ -87,7 +85,7 @@ class BatchDistribution:
         return self.kolmogorov_d * math.sqrt(self.n)
 
 
-def analyze_batch(samples, ids: tuple[str, ...] | None = None) -> BatchDistribution:
+def analyze_batch(samples) -> BatchDistribution:
     """Distribution report of a batch of at least two samples.
 
     ``ecdf_x`` holds the samples sorted and standardised with the sample
@@ -97,13 +95,10 @@ def analyze_batch(samples, ids: tuple[str, ...] | None = None) -> BatchDistribut
     ``max_i max(|i/N - Phi_i|, |(i-1)/N - Phi_i|)``, ``kolmogorov_d_onesided``
     the plain ``max_i |i/N - Phi_i|`` at the plotted ECDF points (the value
     to quote next to a figure), and ``cdf_corr`` the Pearson correlation of
-    ``ecdf_p`` and ``Phi``.  ValueError when the moments overflow, when
-    ``ids`` does not name every sample, or when the samples are all equal
-    (zero spread has no standardised axis).
+    ``ecdf_p`` and ``Phi``.  ValueError when the moments overflow or when
+    the samples are all equal (zero spread has no standardised axis).
     """
     arr, mean, stddev = _moments(samples)
-    if ids is not None and len(ids) != arr.size:
-        raise ValueError(f"got {len(ids)} ids for {arr.size} samples")
     if stddev == 0.0:
         raise _ZeroSpreadError(mean)
     n = arr.size
@@ -113,9 +108,8 @@ def analyze_batch(samples, ids: tuple[str, ...] | None = None) -> BatchDistribut
     d_upper = np.abs(p - phi)
     d_lower = np.abs((p - p[0]) - phi)  # p[0] = 1/N, the staircase step
     return BatchDistribution(
-        samples_hz=arr, n=n, mean_hz=mean, stddev_hz=stddev, ecdf_x=x, ecdf_p=p,
+        n=n, mean_hz=mean, stddev_hz=stddev, ecdf_x=x, ecdf_p=p,
         kolmogorov_d=float(np.maximum(d_upper, d_lower).max()),
         kolmogorov_d_onesided=float(d_upper.max()),
         cdf_corr=float(np.corrcoef(p, phi)[0, 1]),
-        ids=tuple(ids) if ids is not None else None,
     )

@@ -206,17 +206,6 @@ def format_metadata(mapping: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in mapping.items()]
 
 
-def parse_metadata(comments) -> dict[str, str]:
-    """Recover key/value pairs from '# key = value' comment lines."""
-    meta: dict[str, str] = {}
-    for line in comments:
-        body = line.lstrip("#").strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-    return meta
-
-
 def _config_value(name: str, annotation: str, value, allow_inf: bool):
     """``value`` checked against its field's annotation (``int``, ``str`` or
     ``float``).  A field that allows infinity also takes null, "inf" and

@@ -423,11 +423,11 @@ def run_sweep(
     dev: DeviceParams,
     topo: Topology,
     plan: SweepPlan | None = None,
-    noise: NoiseModel | None = None,
+    *,
     cfg: SimConfig | None = None,
-    seed: int | tuple[int, ...] = 0,
 ) -> SweepRecord:
-    """Simulate a frequency sweep and record end-to-end gain at each point.
+    """Simulate a frequency sweep and record its noiseless end-to-end gain
+    at each point; :func:`add_gain_noise` draws noise on the result.
 
     The recorded gain at every planned frequency is the amplitude of the
     periodic RK4 orbit over the stimulus amplitude, computed in closed form
@@ -435,11 +435,7 @@ def run_sweep(
     ``lockin_demodulate(simulate_steady_state(...), f)`` for a unit stimulus
     to rounding, with the same step planning and the same
     :class:`SimulationError` for the first refused point, but integrates no
-    trace.  The noiseless record is then passed through
-    :func:`add_gain_noise` with ``noise`` and ``seed``, so
-    ``run_sweep(..., noise, seed=s)`` equals
-    ``add_gain_noise(run_sweep(..., noise=None), noise, s)`` bit-for-bit and
-    a caller that redraws only the noise can simulate the sweep once.
+    trace.
     """
     plan = plan or SweepPlan()
     cfg = cfg or SimConfig()
@@ -450,10 +446,9 @@ def run_sweep(
     # times the rounded 1/tau0, as the trace's drive is: dividing by tau0
     # instead moves the last bit of every gain
     gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
-    record = SweepRecord(
+    return SweepRecord(
         frequency_hz=freqs,
         gain=gains,
         feedback_r=topo.feedback_r,
         gain_r=topo.gain_r,
     )
-    return add_gain_noise(record, noise or NoiseModel(), seed)

@@ -32,9 +32,16 @@ class TestDeviceParams:
         assert dev.tau0 * TWO_PI * dev.f0 == pytest.approx(1.0, rel=3e-16)
 
     def test_f0_derived_from_tau0(self):
-        dev = DeviceParams(tau0=1.5915494309189535e-9, g0=1e5)
-        assert dev.f0 == pytest.approx(1.0e8, rel=1e-12)
+        # the identity read backwards: 1/(2*pi*tau0) recovers the given f0
+        dev = DeviceParams(f0=1.0e8, g0=1e5)
+        assert dev.tau0 == pytest.approx(1.5915494309189535e-9, rel=1e-12)
+        assert 1.0 / (TWO_PI * dev.tau0) == pytest.approx(dev.f0, rel=1e-12)
         assert dev.g0 == 1e5
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(tau0=1e-9), dict(f0=1e6, tau0=1e-9)])
+    def test_is_built_from_f0_only(self, kwargs):
+        with pytest.raises(TypeError):
+            DeviceParams(**kwargs)
 
     def test_stored_member_round_trips_bitwise(self):
         for f0 in (39.6e6, 97.73e6, 410e6, 46.6e6):
@@ -42,7 +49,7 @@ class TestDeviceParams:
             assert dev.f0 == f0
             again = DeviceParams(f0=dev.f0)
             assert again.tau0 == dev.tau0
-            via_tau = DeviceParams(tau0=dev.tau0)
+            via_tau = DeviceParams(f0=1.0 / (TWO_PI * dev.tau0))
             assert via_tau.tau0 == dev.tau0
 
     def test_product_identity_within_one_ulp(self):
@@ -63,10 +70,10 @@ class TestDeviceParams:
             dict(f0=0.0),
             dict(f0=-1e6),
             dict(f0=math.inf),
-            dict(tau0=0.0),
-            dict(tau0=-1e-9),
-            dict(f0=1e6, tau0=1e-9),
-            dict(),
+            dict(f0=math.nan),
+            dict(f0=-math.inf),
+            dict(f0=5e-324),  # tau0 overflows
+            dict(f0=1e308),  # tau0 underflows to 0
             dict(f0=1e6, g0=1.0),
             dict(f0=1e6, g0=0.5),
             dict(f0=1e6, g0=-10.0),
@@ -176,14 +183,6 @@ class TestInverseGainSquared:
             f = 10.0 ** rng.uniform(3.0, 9.0)
             oracle = abs(closed_loop_gain(dev, topo, f)) ** -2.0
             assert inverse_gain_squared(dev, topo, f) == pytest.approx(oracle, rel=1e-12)
-
-    def test_finite_gain_flag_matches_closed_loop_gain(self):
-        dev = DeviceParams(f0=9.773e7, g0=1e5)
-        topo = Topology(feedback_r=100.0, gain_r=1.0)
-        for f in (0.0, 1e4, 1e6, 1e8):
-            oracle = abs(closed_loop_gain(dev, topo, f)) ** -2.0
-            value = inverse_gain_squared(dev, topo, f, include_finite_gain=True)
-            assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_slope_identity(self):
         # subtracting the intercept leaves exactly (f/f0)^2

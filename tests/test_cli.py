@@ -39,8 +39,13 @@ from opampfit import (
 from opampfit import cli, distribution
 from opampfit.cli import MAX_TRIALS, main
 from opampfit.distribution import batch_stats
-from opampfit.fileio import parse_metadata
 from opampfit.simulate import MAX_DRIVE_SAMPLES, MAX_SWEEP_POINTS
+
+
+def parse_metadata(comments) -> dict[str, str]:
+    """The key/value pairs of '# key = value' comment lines."""
+    pairs = (line.lstrip("#").partition("=") for line in comments)
+    return {key.strip(): value.strip() for key, eq, value in pairs if eq}
 
 
 @pytest.fixture
@@ -413,7 +418,7 @@ class TestMc:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 16)
         oracle = [
-            fit_f0(run_sweep(dev, topo, plan, NoiseModel(1e-4), seed=(4, trial))).f0_hz_
+            fit_f0(add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(1e-4), (4, trial))).f0_hz_
             for trial in range(3)
         ]
         ids, values, _ = read_batch_file(out)
@@ -547,7 +552,7 @@ def per_trial_mc(output, trials, cfg, corr_threshold):
     fitted with ``fit_f0``, its calibration warnings echoed: returns the exit
     code, stdout and stderr, and writes the batch file on success."""
     try:
-        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), None, cfg.sim_config())
+        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config())
     except SimulationError as err:
         return 4, "", f"error: {err}\n"
     stderr, values, corr_pass = [], [], 0
@@ -612,7 +617,7 @@ TOPOLOGY_FIELDS = st.sampled_from([
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     trials=st.integers(1, 12),
-    corr_threshold=st.sampled_from([0.999, 0.9993, 0.0, math.nan]),
+    corr_threshold=st.sampled_from([0.999, 0.9993, 0.0, -1.0, 1.0]),
     fields=st.fixed_dictionaries(
         {"n_points": st.one_of(st.just(3), st.integers(3, 48)),
          "sigma_rel": st.sampled_from([0.0, 1e-4, 3.23e-4, 1e-3, 3e-3, 0.3, 10.0]),
@@ -748,6 +753,10 @@ PROBES = [
     # quick's f0 overflows: the prefactor times f_(1/n), and the crossing
     (["quick", "huge_freq.csv", "--n", "2", "--R", "1e300", "--r", "1"], 4),
     (["quick", "huge_plane.csv"], 4),
+    # a correlation lies in [-1, 1], so no other threshold means anything
+    (["mc", "out.csv", "--trials", "1", "--corr-threshold", "inf"], 2),
+    (["mc", "out.csv", "--trials", "1", "--corr-threshold", "nan"], 2),
+    (["mc", "out.csv", "--trials", "1", "--corr-threshold", "1.5"], 2),
 ]
 
 
@@ -883,11 +892,11 @@ def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
     if result.exit_code in (3, 4):
         assert result.stderr.splitlines()[-1].startswith("error: ")
     if result.exit_code == 0:
-        # every number a successful command computes is finite; mc's
-        # corr_threshold is its flag, echoed as given
-        report = parse_report(result.stdout)
-        report.pop("corr_threshold", None)
-        for name, value in report.items():
+        # a successful command only warns on stderr, and every number it
+        # prints is finite
+        for line in result.stderr.splitlines():
+            assert line.startswith("warning: "), line
+        for name, value in parse_report(result.stdout).items():
             try:
                 number = float(value)
             except ValueError:

@@ -74,6 +74,7 @@ class TestEmpiricalCdf:
         expected = 0.5 / math.sqrt(0.5)
         np.testing.assert_allclose(dist.ecdf_x, [-expected, expected], rtol=1e-12)
         assert dist.ecdf_p.tolist() == [0.5, 1.0]
+        assert dist.n == 2
         assert expected == pytest.approx(0.7071067811865475, rel=1e-15)
 
     def test_abscissae_nondecreasing_and_last_ordinate_one(self):
@@ -201,17 +202,6 @@ class TestNormalReferenceCdf:
         assert normal_reference_cdf(math.inf) == 1.0
         assert normal_reference_cdf(-math.inf) == 0.0
         assert np.isnan(normal_reference_cdf(math.nan))
-
-
-class TestNormalityFitEstimator:
-    def test_analyze_batch_checks_ids(self):
-        with pytest.raises(ValueError, match="ids"):
-            analyze_batch([1.0, 2.0, 3.0], ids=("a", "b"))
-
-    def test_analyze_batch_keeps_ids(self):
-        dist = analyze_batch([1.0, 2.0, 3.0], ids=("a", "b", "c"))
-        assert dist.ids == ("a", "b", "c")
-        assert dist.n == 3
 
 
 # Whole-Hz values in kHz steps: every sum of them is exact, so the mean is the

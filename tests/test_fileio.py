@@ -17,7 +17,13 @@ from opampfit import (
     write_batch_file,
     write_sweep_file,
 )
-from opampfit.fileio import format_metadata, parse_metadata
+from opampfit.fileio import format_metadata
+
+
+def parse_metadata(comments) -> dict[str, str]:
+    """The key/value pairs of '# key = value' comment lines."""
+    pairs = (line.lstrip("#").partition("=") for line in comments)
+    return {key.strip(): value.strip() for key, eq, value in pairs if eq}
 
 
 def sample_record():

@@ -1,20 +1,23 @@
-"""Import cost: the package and every CLI command run without scipy.
+"""What the package's modules hold and load.
 
-scipy.signal and scipy.special take longer to import than any command's
-own work, so only the time-domain trace API may load scipy.
-Each case runs in a fresh interpreter, since this test process has scipy
-loaded already.
+Import cost: scipy.signal and scipy.special take longer to import than any
+command's own work, so only the time-domain trace API may load scipy.  Each
+such case runs in a fresh interpreter, since this test process has scipy
+loaded already.  Dead code: every top-level definition is public or used.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import opampfit
 
-SRC = str(Path(opampfit.__file__).resolve().parents[1])
+PACKAGE = Path(opampfit.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 COMMANDS = """
 import json, sys
@@ -62,3 +65,19 @@ def test_package_and_commands_load_no_scipy(tmp_path):
 
 def test_trace_api_loads_scipy_signal(tmp_path):
     assert "scipy.signal" in scipy_modules_after(TRACE, tmp_path)
+
+
+def test_every_top_level_definition_is_exported_or_used():
+    # a def or class that is not in __all__ and that no line of the package
+    # names again is reachable only from tests
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    source = "\n".join(texts)
+    unused = [
+        node.name
+        for text in texts
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in opampfit.__all__
+        and len(re.findall(rf"\b{re.escape(node.name)}\b", source)) < 2
+    ]
+    assert unused == []

@@ -283,8 +283,8 @@ class TestRunSweep:
         dev = DeviceParams(f0=9.773e7)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 32)
-        clean = run_sweep(dev, topo, plan, NoiseModel(0.0), seed=11)
-        noisy = run_sweep(dev, topo, plan, NoiseModel(0.03), seed=11)
+        clean = run_sweep(dev, topo, plan)
+        noisy = add_gain_noise(clean, NoiseModel(0.03), 11)
         rel = np.abs(noisy.gain / clean.gain - 1.0)
         assert np.all(rel <= 0.15)
         assert rel.max() > 0.0
@@ -293,17 +293,25 @@ class TestRunSweep:
         dev = DeviceParams(f0=9.773e7)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 16)
-        a = run_sweep(dev, topo, plan, NoiseModel(0.01), seed=42)
-        b = run_sweep(dev, topo, plan, NoiseModel(0.01), seed=42)
+        a = add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(0.01), 42)
+        b = add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(0.01), 42)
         assert np.array_equal(a.gain, b.gain) and np.array_equal(a.frequency_hz, b.frequency_hz)
 
     def test_different_seeds_differ(self):
         dev = DeviceParams(f0=9.773e7)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 16)
-        a = run_sweep(dev, topo, plan, NoiseModel(0.01), seed=1)
-        b = run_sweep(dev, topo, plan, NoiseModel(0.01), seed=2)
+        a = add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(0.01), 1)
+        b = add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(0.01), 2)
         assert not np.array_equal(a.gain, b.gain)
+
+    @pytest.mark.parametrize("args,kwargs", [((NoiseModel(0.01),), {}), ((), {"seed": 7})])
+    def test_draws_no_noise(self, args, kwargs):
+        # noise has one entry point, add_gain_noise; a positional NoiseModel
+        # is not taken for a SimConfig, and a seed is not silently ignored
+        plan = SweepPlan(1e4, 1e5, 16)
+        with pytest.raises(TypeError):
+            run_sweep(DeviceParams(f0=9.773e7), Topology(100.0, 1.0), plan, *args, **kwargs)
 
     def test_plan_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -362,7 +370,7 @@ class TestAddGainNoise:
         noise = NoiseModel(3e-3)
         clean = run_sweep(self.DEV, self.TOPO, plan)
         reused = add_gain_noise(clean, noise, seed)
-        direct = run_sweep(self.DEV, self.TOPO, plan, noise, seed=seed)
+        direct = add_gain_noise(run_sweep(self.DEV, self.TOPO, plan), noise, seed)
         assert np.array_equal(reused.gain, direct.gain)
         assert np.array_equal(reused.frequency_hz, direct.frequency_hz)
         assert np.array_equal(direct.gain, noise_oracle(clean, 3e-3, words))
@@ -371,7 +379,8 @@ class TestAddGainNoise:
     def test_noiseless_model_returns_record(self):
         clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8))
         assert add_gain_noise(clean, NoiseModel(0.0), (1, 2)) is clean
-        direct = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8), NoiseModel(0.0), seed=3)
+        direct = add_gain_noise(run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8)),
+                                NoiseModel(0.0), 3)
         assert np.array_equal(direct.gain, clean.gain)
 
     def test_input_record_is_not_modified(self):
