@@ -204,8 +204,13 @@ def fit(sweep_path, big_r, small_r, weighted, plot_dir):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CalibrationWarning)
         est = fit_f0(record, weighted=weighted)
+    # only the calibration diagnostic is part of the report; any other
+    # warning goes back to the warning filters in force outside
     for w in caught:
-        _echo(f"warning: {w.message}", err=True)
+        if issubclass(w.category, CalibrationWarning):
+            _echo(f"warning: {w.message}", err=True)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     _echo_fit_report(est)
     if plot_dir is not None:
         u = record.frequency_hz**2

@@ -6,6 +6,12 @@ carry ``sample_id,f0_hz``.  Lines starting with ``#`` are comments and are
 preserved verbatim by the reader, so emitted files round-trip byte-for-byte.
 Floats are written with ``repr``, the shortest locale-independent form that
 parses back to the same value.
+
+Each reader first parses a file's body as whole arrays.  Where that path
+refuses anything, the row loop reads the file again from the start: it
+alone names a bad line, and it accepts what the array path leaves to it
+(``1_0``, say, which ``float()`` reads and ``np.loadtxt`` does not), so the
+two agree on every file.
 """
 
 from __future__ import annotations
@@ -46,35 +52,40 @@ def _parse_float(token: str, path, line_no: int, column: str) -> float:
     return value
 
 
+def _content_lines(fh, comments: list[str]):
+    """Yield ``(line_no, line)`` for each line of the open CSV ``fh`` that
+    is neither blank nor a comment, without its line end.  Lines starting
+    with ``#`` are appended to ``comments`` verbatim."""
+    for line_no, raw in enumerate(iter(fh.readline, ""), start=1):
+        # a line holds no CR or LF but its one terminator
+        line = raw.rstrip("\r\n")
+        if line.startswith("#"):
+            comments.append(line)
+        elif line and not line.isspace():
+            yield line_no, line
+
+
 def _data_rows(path: Path, headers: tuple[str, ...], comments: list[str]):
     """Yield ``(line_no, fields)`` for each data row of the UTF-8 CSV at
     ``path``.
 
-    Lines starting with ``#`` are appended to ``comments`` verbatim and blank
-    lines are skipped; the first other line must be one of ``headers``, and
-    every later one must have as many comma-separated fields as it.  Any
-    departure, including bytes that are not UTF-8, raises ParseError.
+    Comment lines go to ``comments`` and blank lines are skipped
+    (:func:`_content_lines`); the first other line must be one of
+    ``headers``, and every later one must have as many comma-separated
+    fields as it.  Any departure, including bytes that are not UTF-8,
+    raises ParseError.
     """
-    header = None
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                # a line holds no CR or LF but its one terminator
-                line = raw.rstrip("\r\n")
-                if line.startswith("#"):
-                    comments.append(line)
-                    continue
-                if not line or line.isspace():
-                    continue
-                if header is None:
-                    if line not in headers:
-                        expected = " or ".join(repr(h) for h in headers)
-                        raise ParseError(
-                            path, line_no, f"expected header {expected}, got {line!r}"
-                        )
-                    header = line
-                    n_fields = header.count(",") + 1
-                    continue
+            lines = _content_lines(fh, comments)
+            line_no, header = next(lines, (None, None))
+            if header is None:
+                raise ParseError(path, None, "no header line found")
+            if header not in headers:
+                expected = " or ".join(repr(h) for h in headers)
+                raise ParseError(path, line_no, f"expected header {expected}, got {header!r}")
+            n_fields = header.count(",") + 1
+            for line_no, line in lines:
                 fields = line.split(",")
                 if len(fields) != n_fields:
                     raise ParseError(
@@ -83,8 +94,6 @@ def _data_rows(path: Path, headers: tuple[str, ...], comments: list[str]):
                 yield line_no, fields
     except UnicodeDecodeError as err:
         raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
-    if header is None:
-        raise ParseError(path, None, "no header line found")
 
 
 def _text_field(value: str) -> str:
@@ -128,6 +137,56 @@ def _write_csv(path, header: str, columns, comments=()) -> None:
 def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:
     """Parse a sweep CSV; returns the record and its comment lines."""
     path = Path(path)
+    return _read_sweep_table(path) or _read_sweep_rows(path)
+
+
+def _table_lines(fh):
+    """The rest of the open CSV ``fh``, line by line, for ``np.loadtxt``.
+
+    Raises ValueError if the first line is blank, since loadtxt warns on a
+    body without rows, and at a 64 KiB chunk of lines holding one of
+    \\x1c to \\x1f, which loadtxt strips as whitespace and ``float()``
+    refuses.
+    """
+    rows = fh.readlines(1 << 16)
+    if not rows or rows[0].isspace():
+        raise ValueError("no data row straight after the header")
+    while rows:
+        chunk = "".join(rows)
+        if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a separator character that float() refuses")
+        yield from rows
+        rows = fh.readlines(1 << 16)
+
+
+def _read_sweep_table(path: Path) -> tuple[SweepRecord, list[str]] | None:
+    """The sweep at ``path`` with its body parsed by ``np.loadtxt``, or None
+    where the row loop must read it.
+
+    A finite positive gain ``u_out_v/u_in_v`` implies finite voltages and a
+    nonzero ``u_in_v``, so SweepRecord's checks refuse what the row loop does.
+    """
+    comments: list[str] = []
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            _, header = next(_content_lines(fh, comments), (None, None))
+            if header not in (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR):
+                return None
+            table = np.loadtxt(_table_lines(fh), delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != header.count(",") + 1:
+            return None
+        gain = table[:, 1]
+        if table.shape[1] == 3:
+            # a division numpy warns about gives a gain SweepRecord refuses
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                gain = table[:, 2] / table[:, 1]
+        return SweepRecord(frequency_hz=table[:, 0], gain=gain), comments
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
+def _read_sweep_rows(path: Path) -> tuple[SweepRecord, list[str]]:
+    """:func:`read_sweep_file` one row at a time, naming the first bad line."""
     comments: list[str] = []
     freqs: list[float] = []
     gains: list[float] = []
@@ -168,6 +227,42 @@ def write_sweep_file(path, record: SweepRecord, comments: list[str] | tuple = ()
 def read_batch_file(path) -> tuple[list[str], np.ndarray, list[str]]:
     """Parse a batch CSV; returns sample ids, f0 values, and comment lines."""
     path = Path(path)
+    return _read_batch_table(path) or _read_batch_rows(path)
+
+
+def _read_batch_table(path: Path) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """The batch at ``path`` with its body parsed in 64 KiB chunks of lines,
+    or None where the row loop must read it."""
+    comments: list[str] = []
+    ids: list[str] = []
+    chunks: list[np.ndarray] = []
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            if next(_content_lines(fh, comments), (None, None))[1] != BATCH_HEADER:
+                return None
+            while rows := fh.readlines(1 << 16):
+                tokens = ",".join(rows).split(",")
+                heads = "".join(tokens[0::2])
+                # every row holds one comma exactly when there are two
+                # tokens a row and no line end falls in a first field; a
+                # '#' there may start a comment line
+                if len(tokens) != 2 * len(rows) or any(c in heads for c in "\r\n#"):
+                    return None
+                ids.extend(map(str.strip, tokens[0::2]))
+                chunks.append(np.fromiter(map(float, tokens[1::2]), float, len(rows)))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    unique = set(ids)
+    if not ids or "" in unique or len(unique) != len(ids):
+        return None
+    values = np.concatenate(chunks)
+    if not (np.isfinite(values) & (values > 0.0)).all():
+        return None
+    return ids, values, comments
+
+
+def _read_batch_rows(path: Path) -> tuple[list[str], np.ndarray, list[str]]:
+    """:func:`read_batch_file` one row at a time, naming the first bad line."""
     comments: list[str] = []
     ids: list[str] = []
     values: list[float] = []

@@ -250,6 +250,25 @@ class TestFit:
         assert result.exit_code == 0
         assert "calibration" in result.stderr.lower() or "suspect" in result.stderr.lower()
 
+    def test_only_calibration_warnings_are_reported(self, runner, tmp_path, monkeypatch):
+        # under the suite's "error" filter the RuntimeWarning would end the
+        # fit before the command could misreport it
+        def leaky_fit(record, weighted=False):
+            warnings.warn("overflow encountered in divide", RuntimeWarning)
+            warnings.warn("fitted intercept deviates", CalibrationWarning)
+            return fit_f0(record, weighted)
+
+        out = tmp_path / "sweep.csv"
+        write_sweep_file(out, SweepRecord([1e4, 2e4, 3e4], [101.0, 100.0, 98.0]))
+        monkeypatch.setattr(cli, "fit_f0", leaky_fit)
+        with warnings.catch_warnings(record=True) as passed_on:
+            warnings.simplefilter("default")
+            result = runner.invoke(main, ["fit", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == ["warning: fitted intercept deviates"]
+        assert [(w.category, str(w.message)) for w in passed_on] == [
+            (RuntimeWarning, "overflow encountered in divide")]
+
 
 class TestQuick:
     def test_agrees_with_fit(self, runner, tmp_path):

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import opampfit
 from opampfit import (
     ParseError,
     RunConfig,
@@ -17,7 +22,13 @@ from opampfit import (
     write_batch_file,
     write_sweep_file,
 )
-from opampfit.fileio import format_metadata
+from opampfit.fileio import (
+    _read_batch_rows,
+    _read_batch_table,
+    _read_sweep_rows,
+    _read_sweep_table,
+    format_metadata,
+)
 
 
 def parse_metadata(comments) -> dict[str, str]:
@@ -167,6 +178,58 @@ class TestBatchFile:
         assert not path.exists()
 
 
+GAIN = "frequency_hz,gain\n"
+PAIR = "frequency_hz,u_in_v,u_out_v\n"
+BATCH = "sample_id,f0_hz\n"
+BOTH_HEADERS = "'frequency_hz,gain' or 'frequency_hz,u_in_v,u_out_v'"
+
+
+@pytest.mark.parametrize("reader,body,line_no,message", [
+    (read_sweep_file, "", None, "no header line found"),
+    (read_sweep_file, "# only a comment\n\n \n", None, "no header line found"),
+    (read_sweep_file, b"# caf\xe9\n", None, "not UTF-8 text (invalid continuation byte)"),
+    (read_sweep_file, "# c\nfrequency,gain\n1,2\n", 2,
+     f"expected header {BOTH_HEADERS}, got 'frequency,gain'"),
+    (read_sweep_file, GAIN + "1,2\n2,2,9\n", 3, "expected 2 columns, got 3"),
+    (read_sweep_file, PAIR + "1,2\n", 2, "expected 3 columns, got 2"),
+    (read_sweep_file, GAIN + "x,2\n", 2, "frequency_hz value 'x' is not a number"),
+    (read_sweep_file, GAIN + "inf,2\n", 2, "frequency_hz value 'inf' is not finite"),
+    (read_sweep_file, GAIN + "1,\n", 2, "gain value '' is not a number"),
+    (read_sweep_file, GAIN + "1,nan\n", 2, "gain value 'nan' is not finite"),
+    (read_sweep_file, PAIR + "1,1_0,2\n2,\u0661,2\n3,a,2\n", 4,
+     "u_in_v value 'a' is not a number"),
+    (read_sweep_file, PAIR + "1,1,-inf\n", 2, "u_out_v value '-inf' is not finite"),
+    (read_sweep_file, GAIN + "0,2\n", 2,
+     "frequencies must be strictly increasing and positive (0.0 after 0.0)"),
+    (read_sweep_file, "frequency_hz,gain\r\n1,2\r\n\r\n# c\r\n3,2\r\n2,2\r\n", 6,
+     "frequencies must be strictly increasing and positive (2.0 after 3.0)"),
+    (read_sweep_file, PAIR + "1,-0.0,2\n", 2, "u_in_v must be nonzero"),
+    (read_sweep_file, PAIR + "1,1e-300,1e300\n", 2, "gain u_out_v/u_in_v overflows (inf)"),
+    (read_sweep_file, GAIN + "1,-2.0\n", 2, "gain must be positive, got -2.0"),
+    (read_sweep_file, PAIR + "1,2,0\n", 2, "gain must be positive, got 0.0"),
+    (read_sweep_file, GAIN + "1,2\n2,2\n", None, "need at least 3 data rows, got 2"),
+    (read_batch_file, "", None, "no header line found"),
+    (read_batch_file, b"sample_id,f0_hz\n\xff,1\n", None,
+     "not UTF-8 text (invalid start byte)"),
+    (read_batch_file, "sample,f0\n", 1, "expected header 'sample_id,f0_hz', got 'sample,f0'"),
+    (read_batch_file, BATCH + "a,1\n\xa0\x0b,2\n", 3, "sample_id must be non-empty"),
+    (read_batch_file, BATCH + "a,1\r b ,2\rb,3\r", 4, "duplicate sample_id 'b'"),
+    (read_batch_file, BATCH + "a,1e6\nb,abc\n", 3, "f0_hz value 'abc' is not a number"),
+    (read_batch_file, BATCH + "a,inf\n", 2, "f0_hz value 'inf' is not finite"),
+    (read_batch_file, BATCH + "a,-1\n", 2, "f0_hz must be positive, got -1.0"),
+    (read_batch_file, BATCH + "a,1,2\n", 2, "expected 2 columns, got 3"),
+    (read_batch_file, BATCH + "# a,1\na\n", 3, "expected 2 columns, got 1"),
+    (read_batch_file, "# c\n" + BATCH + "\n# d\n", None, "no data rows found"),
+])
+def test_parse_error_text_is_exact(tmp_path, reader, body, line_no, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
+    with pytest.raises(ParseError) as excinfo:
+        reader(path)
+    where = path if line_no is None else f"{path}:{line_no}"
+    assert (str(excinfo.value), excinfo.value.line_no) == (f"{where}: {message}", line_no)
+
+
 @pytest.mark.parametrize("bad", ["seed = 1", "# a\nb", "# a\r", ""])
 @pytest.mark.parametrize("write", ["sweep", "batch"])
 def test_comment_that_would_not_read_back_is_refused(tmp_path, bad, write):
@@ -181,8 +244,12 @@ def test_comment_that_would_not_read_back_is_refused(tmp_path, bad, write):
 
 
 # Text built from the characters of the two formats reaches the row checks
-# far more often than raw bytes, which rarely even decode.
-CSV_TEXT = st.text(alphabet="0123456789.,-+eEinfa#_ \r\n").map(str.encode)
+# far more often than raw bytes, which rarely even decode.  The rest of the
+# alphabet is what float() and np.loadtxt read differently: an underscore,
+# an Arabic-Indic digit, whitespace that is not ASCII (NBSP, \x85) and the
+# separators \x1c-\x1f, which loadtxt strips and float() refuses.
+CSV_TEXT = st.text(alphabet="0123456789.,-+eEinfa#_ \r\n\u0661\xa0\x0b\x85\x1c\x1f").map(
+    str.encode)
 HEADERS = st.sampled_from([b"frequency_hz,gain\n", b"frequency_hz,u_in_v,u_out_v\n",
                            b"sample_id,f0_hz\n"])
 ANY_BYTES = st.one_of(
@@ -209,6 +276,130 @@ def test_readers_raise_only_parse_error(tmp_path, data):
             reader(path)
         except ParseError:
             pass
+
+
+# Fields a row may hold instead of a good value: each is read one way by
+# float() and maybe another by np.loadtxt, or is refused by both
+ODD_FIELDS = ["1_0", "\u0661", "\xa02\xa0", "\x0b3", "\x1c4", "", " ", "nan", "-inf",
+              "-5", "0", "1e-300", "1e300", "abc", "6 # note", "#7", "d1"]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_rows(draw):
+    """The bytes of a sweep or batch file that is mostly well formed, with
+    the departures either reader meets: odd fields, extra and missing
+    columns, blank, whitespace-only and comment lines anywhere, mixed line
+    ends and bytes that are not UTF-8."""
+    header = draw(st.sampled_from(["frequency_hz,gain", "frequency_hz,u_in_v,u_out_v",
+                                   "sample_id,f0_hz"]))
+    lines = [*draw(st.lists(st.sampled_from(["# a", "", " "]), max_size=2)), header]
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind < 16:
+            first = f"d{i}" if header.startswith("sample") else f"{i + 1}e3"
+            fields = [first, *(str(draw(st.floats(0.05, 200.0)))
+                               for _ in range(header.count(",")))]
+            if kind >= 12:  # one field odd, or one too many or too few
+                at = draw(st.integers(0, len(fields)))
+                odd = draw(st.sampled_from(ODD_FIELDS))
+                fields[at:at + 1] = draw(st.sampled_from([[odd], [], [odd, odd]]))
+            lines.append(",".join(fields))
+        else:
+            lines.append(draw(st.sampled_from(["", " \x0b\xa0", "# c,1", "# c,1,2"])))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_outcome(reader, path):
+    """What ``reader`` makes of the file at ``path``: its arrays as lists
+    and its ids and comments, or its ParseError's text and line number."""
+    try:
+        result = reader(path)
+    except ParseError as err:
+        return str(err), err.line_no
+    if isinstance(result[0], SweepRecord):
+        record, comments = result
+        return record.frequency_hz.tolist(), record.gain.tolist(), comments
+    ids, values, comments = result
+    assert values.dtype == np.float64
+    return ids, values.tolist(), comments
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(csv_rows(), ANY_BYTES))
+# a separator np.loadtxt strips and float() refuses
+@example(data=b"frequency_hz,gain\n1,2\n2,\x1c2\n3,2\n")
+# a comment line with one comma among batch rows
+@example(data=b"sample_id,f0_hz\na,1\n# b,2\nc,3\n")
+# rows of one and three fields, which split into two tokens a row
+@example(data=b"sample_id,f0_hz\na,1\n5\n6,2,3\n")
+@example(data=b"sample_id,f0_hz\ra,1\r5\r6,2,3\r")
+def test_array_path_and_row_loop_agree(tmp_path, data):
+    # the row loop is the reference: the readers must refuse with its exact
+    # error or return what it returns, bit for bit
+    path = tmp_path / "any.csv"
+    path.write_bytes(data)
+    for reader, row_loop in ((read_sweep_file, _read_sweep_rows),
+                             (read_batch_file, _read_batch_rows)):
+        assert read_outcome(reader, path) == read_outcome(row_loop, path)
+
+
+def test_array_path_reads_what_the_writers_write(tmp_path):
+    path = tmp_path / "f.csv"
+    write_sweep_file(path, sample_record(), ["# a"])
+    assert _read_sweep_table(path) is not None
+    path.write_text(PAIR + "1,2,3\r\n2,2,3\r\n3,2,3\r\n\r\n", encoding="utf-8")
+    assert _read_sweep_table(path) is not None
+    write_batch_file(path, [f"d{i}" for i in range(5000)], np.arange(1.0, 5001.0), ["# a"])
+    assert _read_batch_table(path) is not None
+
+
+# Peak memory of reading a sweep, per row, over a subprocess that only reads
+# it.  VmHWM is the high-water mark of this process's own memory; the
+# process's getrusage ru_maxrss also counts the parent's resident set at the
+# fork, which under pytest hides the whole read.
+PEAK_AFTER_READ = """
+import sys
+from opampfit import read_sweep_file
+read_sweep_file(sys.argv[1])
+print(next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM:")))
+"""
+# Measured at 200,000 rows: the row loop's lists of floats take 112 B a row
+# in either header form; the arrays take 35 B (gain) and 49 B (u_in, u_out).
+MAX_PEAK_BYTES_PER_ROW = 64
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc")
+def test_peak_memory_per_sweep_row_is_bounded(tmp_path):
+    n = 200_000
+    f = np.arange(1.0, n + 1.0) * 10.0
+    gain = 100.0 / np.sqrt(1.0 + (f / 1e6) ** 2)
+    u_in = np.linspace(0.05, 0.2, n)
+    write_sweep_file(tmp_path / "small.csv", SweepRecord(f[:3], gain[:3]))
+    write_sweep_file(tmp_path / "gain.csv", SweepRecord(f, gain))
+    with (tmp_path / "pair.csv").open("w", encoding="utf-8") as fh:
+        fh.write(PAIR)
+        fh.writelines(f"{a!r},{b!r},{c!r}\n"
+                      for a, b, c in zip(f.tolist(), u_in.tolist(), (gain * u_in).tolist()))
+
+    def peak_kib(name):
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_AFTER_READ, str(tmp_path / name)],
+            env={**os.environ, "PYTHONPATH": str(Path(opampfit.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    base = peak_kib("small.csv")
+    for name in ("gain.csv", "pair.csv"):
+        per_row = (peak_kib(name) - base) * 1024 / n
+        assert per_row <= MAX_PEAK_BYTES_PER_ROW, (name, per_row)
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
