@@ -5,7 +5,6 @@ amplifier loops, crossover-frequency extraction from gain sweeps, and batch
 normality analysis of many measured devices.
 """
 
-from .base import NotFittedError
 from .circuit import (
     DeviceParams,
     Topology,
@@ -57,7 +56,6 @@ __all__ = [
     "DeviceParams",
     "FitError",
     "NoiseModel",
-    "NotFittedError",
     "ParseError",
     "QuickCrossoverFit",
     "RunConfig",

@@ -85,11 +85,6 @@ class Topology:
         if not self.beta > 0.0:  # the resistor sum overflowed or the ratio underflowed
             raise ValueError(f"feedback ratio of {self!r} is not positive ({self.beta!r})")
 
-    @classmethod
-    def repeater(cls) -> "Topology":
-        """Canonical unity-gain voltage follower."""
-        return cls(feedback_r=0.0, gain_r=math.inf)
-
     @property
     def is_repeater(self) -> bool:
         return self.feedback_r == 0.0 or math.isinf(self.gain_r)

@@ -111,7 +111,7 @@ def _config_options(command):
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                      default=None, help="JSON run configuration file."),
         click.option("--seed", type=click.IntRange(min=0), default=None,
-                     help="Random seed (u64)."),
+                     help="Random seed (a non-negative integer)."),
         click.option("--noise", "sigma_rel", type=float, default=None,
                      help="Relative gain-noise sigma."),
         click.option("--points", "n_points", type=int, default=None,

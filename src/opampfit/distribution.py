@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_float_array
+from .extraction import as_float_array
 
 SQRT2 = math.sqrt(2.0)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_array, check_is_fitted
 from .circuit import Topology
 
 
@@ -33,6 +32,18 @@ class SweepRangeError(FitError):
 
 class CalibrationWarning(UserWarning):
     """Fitted intercept is far from the value the topology predicts."""
+
+
+def as_float_array(values, name: str, min_len: int = 1) -> np.ndarray:
+    """Coerce to a 1-D float64 array of finite values."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size < min_len:
+        raise ValueError(f"{name} needs at least {min_len} values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must contain only finite values")
+    return arr
 
 
 def _ideal_intercept(feedback_r: float | None, gain_r: float | None) -> float | None:
@@ -218,7 +229,7 @@ class SweepRecord:
         return self.frequency_hz.size
 
 
-class CrossoverFrequencyFit(ParamsMixin):
+class CrossoverFrequencyFit:
     """Least-squares crossover-frequency estimator.
 
     Fits a straight line to ``v = 1/gain^2`` against ``u = f^2`` and reads
@@ -281,14 +292,6 @@ class CrossoverFrequencyFit(ParamsMixin):
                 warnings.warn(message, CalibrationWarning, stacklevel=2)
         return self
 
-    def predict(self, frequency_hz) -> np.ndarray:
-        """Modeled gain magnitude at the given frequencies."""
-        check_is_fitted(self, "f0_hz_")
-        f = as_float_array(frequency_hz, "frequency_hz")
-        v_model = self.intercept_ + self.slope_ * f * f
-        with np.errstate(invalid="ignore"):
-            return 1.0 / np.sqrt(v_model)
-
 
 def fit_f0(record: SweepRecord, weighted: bool = False) -> CrossoverFrequencyFit:
     """The roll-off regression of a sweep record, with the record's
@@ -299,7 +302,7 @@ def fit_f0(record: SweepRecord, weighted: bool = False) -> CrossoverFrequencyFit
     return est.fit(record.frequency_hz, record.gain)
 
 
-class QuickCrossoverFit(ParamsMixin):
+class QuickCrossoverFit:
     """Regression-free crossover-frequency estimator.
 
     Takes the low-frequency gain ``y0`` from the sweep (first point by

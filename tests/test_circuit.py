@@ -16,6 +16,7 @@ from opampfit import (
 )
 
 TWO_PI = 2.0 * math.pi
+REPEATER = Topology(feedback_r=0.0, gain_r=math.inf)  # unity-gain voltage follower
 
 
 def random_device_topology(rng):
@@ -95,7 +96,7 @@ class TestTopology:
         # both encodings collapse to beta = 1
         assert Topology(feedback_r=0.0, gain_r=50.0).beta == 1.0
         assert Topology(feedback_r=100.0, gain_r=math.inf).beta == 1.0
-        rep = Topology.repeater()
+        rep = Topology(feedback_r=0.0, gain_r=math.inf)
         assert rep.is_repeater and rep.beta == 1.0 and rep.ideal_dc_gain == 1.0
 
     def test_beta_in_unit_interval(self):
@@ -133,7 +134,7 @@ class TestClosedLoopGain:
 
     def test_repeater_at_f0(self):
         dev = DeviceParams(f0=1e8)
-        g = closed_loop_gain(dev, Topology.repeater(), 1e8)
+        g = closed_loop_gain(dev, REPEATER, 1e8)
         assert abs(g) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_finite_g0_dc(self):
@@ -145,7 +146,7 @@ class TestClosedLoopGain:
     def test_rejects_negative_frequency(self):
         dev = DeviceParams(f0=1e8)
         with pytest.raises(ValueError):
-            closed_loop_gain(dev, Topology.repeater(), -1.0)
+            closed_loop_gain(dev, REPEATER, -1.0)
 
     def test_strictly_decreasing_in_frequency(self):
         rng = np.random.default_rng(4)
@@ -218,7 +219,7 @@ class TestQuickF0:
 
     def test_repeater_rejected(self):
         with pytest.raises(ValueError, match="repeater"):
-            quick_f0_general(Topology.repeater(), 2.0, 1e6)
+            quick_f0_general(REPEATER, 2.0, 1e6)
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -238,10 +239,9 @@ class TestQuickF0General:
             quick_f0_general(Topology(feedback_r=100.0, gain_r=1.0), n, 1e6)
 
     def test_repeater_routes_to_minus3db_relation(self):
-        rep = Topology.repeater()
         with pytest.raises(ValueError):
-            quick_f0_general(rep, math.sqrt(2.0), 410e6)
-        assert crossover_from_minus3db(rep, 410e6) == 410e6
+            quick_f0_general(REPEATER, math.sqrt(2.0), 410e6)
+        assert crossover_from_minus3db(REPEATER, 410e6) == 410e6
 
     def test_scale_covariance(self):
         topo = Topology(feedback_r=47.0, gain_r=3.3)
@@ -265,7 +265,7 @@ class TestCrossoverFromMinus3db:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            crossover_from_minus3db(Topology.repeater(), 0.0)
+            crossover_from_minus3db(REPEATER, 0.0)
 
 
 def test_minus3db_gain_squared_mismatch():

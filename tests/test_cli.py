@@ -640,7 +640,7 @@ TOPOLOGY_FIELDS = st.sampled_from([
     fields=st.fixed_dictionaries(
         {"n_points": st.one_of(st.just(3), st.integers(3, 48)),
          "sigma_rel": st.sampled_from([0.0, 1e-4, 3.23e-4, 1e-3, 3e-3, 0.3, 10.0]),
-         "seed": st.integers(0, 2**63)},
+         "seed": st.integers(0, 2**128)},
         optional={"f_max_hz": st.sampled_from([1.01e4, 1.01e4, 1e6, 3e7]),
                   "g0": st.sampled_from([1e5])},
     ).flatmap(lambda fields: TOPOLOGY_FIELDS.map(lambda topology: {**fields, **topology})),

@@ -360,46 +360,65 @@ def test_array_path_reads_what_the_writers_write(tmp_path):
     assert _read_batch_table(path) is not None
 
 
-# Peak memory of reading a sweep, per row, over a subprocess that only reads
-# it.  VmHWM is the high-water mark of this process's own memory; the
-# process's getrusage ru_maxrss also counts the parent's resident set at the
-# fork, which under pytest hides the whole read.
+# Peak memory of reading a file, per row, over a subprocess that only reads
+# it with the named reader.  VmHWM is the high-water mark of this process's
+# own memory; the process's getrusage ru_maxrss also counts the parent's
+# resident set at the fork, which under pytest hides the whole read.
 PEAK_AFTER_READ = """
 import sys
-from opampfit import read_sweep_file
-read_sweep_file(sys.argv[1])
+import opampfit
+getattr(opampfit, sys.argv[1])(sys.argv[2])
 print(next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM:")))
 """
+PEAK_ROWS = 200_000
 # Measured at 200,000 rows: the row loop's lists of floats take 112 B a row
 # in either header form; the arrays take 35 B (gain) and 49 B (u_in, u_out).
-MAX_PEAK_BYTES_PER_ROW = 64
+MAX_PEAK_BYTES_PER_SWEEP_ROW = 64
+# Measured at 200,000 rows: the array path takes 141 B a row with digit ids
+# and 173 B with 34-character ids, the row loop 164 B and 195 B.  Each id
+# stays a Python str.
+MAX_PEAK_BYTES_PER_BATCH_ROW = 224
+
+
+def peak_bytes_per_row(reader, path, small_path):
+    """The peak memory that ``reader`` adds per row reading ``path`` (of
+    PEAK_ROWS rows), over its peak reading the few rows of ``small_path``."""
+    def peak_kib(file):
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_AFTER_READ, reader, str(file)],
+            env={**os.environ, "PYTHONPATH": str(Path(opampfit.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    return (peak_kib(path) - peak_kib(small_path)) * 1024 / PEAK_ROWS
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc")
 def test_peak_memory_per_sweep_row_is_bounded(tmp_path):
-    n = 200_000
-    f = np.arange(1.0, n + 1.0) * 10.0
+    f = np.arange(1.0, PEAK_ROWS + 1.0) * 10.0
     gain = 100.0 / np.sqrt(1.0 + (f / 1e6) ** 2)
-    u_in = np.linspace(0.05, 0.2, n)
+    u_in = np.linspace(0.05, 0.2, PEAK_ROWS)
     write_sweep_file(tmp_path / "small.csv", SweepRecord(f[:3], gain[:3]))
     write_sweep_file(tmp_path / "gain.csv", SweepRecord(f, gain))
     with (tmp_path / "pair.csv").open("w", encoding="utf-8") as fh:
         fh.write(PAIR)
         fh.writelines(f"{a!r},{b!r},{c!r}\n"
                       for a, b, c in zip(f.tolist(), u_in.tolist(), (gain * u_in).tolist()))
-
-    def peak_kib(name):
-        done = subprocess.run(
-            [sys.executable, "-c", PEAK_AFTER_READ, str(tmp_path / name)],
-            env={**os.environ, "PYTHONPATH": str(Path(opampfit.__file__).resolve().parents[1])},
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return int(done.stdout)
-
-    base = peak_kib("small.csv")
     for name in ("gain.csv", "pair.csv"):
-        per_row = (peak_kib(name) - base) * 1024 / n
-        assert per_row <= MAX_PEAK_BYTES_PER_ROW, (name, per_row)
+        per_row = peak_bytes_per_row("read_sweep_file", tmp_path / name, tmp_path / "small.csv")
+        assert per_row <= MAX_PEAK_BYTES_PER_SWEEP_ROW, (name, per_row)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc")
+def test_peak_memory_per_batch_row_is_bounded(tmp_path):
+    f0 = 1e8 * (1.0 + 0.05 * np.random.default_rng(8).standard_normal(PEAK_ROWS))
+    write_batch_file(tmp_path / "small.csv", ["a", "b", "c"], f0[:3])
+    write_batch_file(tmp_path / "digits.csv", range(PEAK_ROWS), f0)
+    write_batch_file(tmp_path / "long.csv", [f"device-{i:027d}" for i in range(PEAK_ROWS)], f0)
+    for name in ("digits.csv", "long.csv"):
+        per_row = peak_bytes_per_row("read_batch_file", tmp_path / name, tmp_path / "small.csv")
+        assert per_row <= MAX_PEAK_BYTES_PER_BATCH_ROW, (name, per_row)
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,6 +4,7 @@ Import cost: scipy.signal and scipy.special take longer to import than any
 command's own work, so only the time-domain trace API may load scipy.  Each
 such case runs in a fresh interpreter, since this test process has scipy
 loaded already.  Dead code: every top-level definition is public or used.
+Dependencies: the package imports exactly what pyproject.toml declares.
 """
 
 import ast
@@ -13,6 +14,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import opampfit
 
@@ -81,3 +84,32 @@ def test_every_top_level_definition_is_exported_or_used():
         and len(re.findall(rf"\b{re.escape(node.name)}\b", source)) < 2
     ]
     assert unused == []
+
+
+def third_party_imports(paths):
+    """The top-level names of the modules that ``paths`` import, anywhere in
+    the file, outside the standard library and this package."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"opampfit"}
+
+
+def requirement_names(requirements):
+    """Project names of PEP 508 requirement strings; each is also the name
+    its module imports under."""
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    runtime = requirement_names(project["dependencies"])
+    assert third_party_imports(PACKAGE.glob("*.py")) == runtime
+    tests = third_party_imports(Path(__file__).parent.glob("*.py"))
+    assert tests <= runtime | requirement_names(project["optional-dependencies"]["test"])

@@ -28,6 +28,7 @@ from opampfit import simulate
 from opampfit.simulate import MAX_SWEEP_POINTS, _noisy_gains
 
 TWO_PI = 2.0 * math.pi
+REPEATER = Topology(feedback_r=0.0, gain_r=math.inf)  # unity-gain voltage follower
 
 
 def closed_loop_ode_rhs(dev, topo, u_in, u_out):
@@ -120,7 +121,7 @@ class TestLockin:
 class TestSimulateSteadyState:
     def test_repeater_passes_low_frequency(self):
         dev = DeviceParams(f0=1e8)
-        gain = simulated_gain(dev, Topology.repeater(), 1e4)
+        gain = simulated_gain(dev, REPEATER, 1e4)
         assert gain == pytest.approx(1.0, rel=1e-3)
 
     def test_gain_100_amplifier_at_1khz(self):
@@ -144,15 +145,14 @@ class TestSimulateSteadyState:
     def test_rejects_a_frequency_that_is_not_positive(self, frequency):
         dev = DeviceParams(f0=1e8)
         with pytest.raises(ValueError, match="frequency must be positive"):
-            simulate_steady_state(dev, Topology.repeater(), frequency)
+            simulate_steady_state(dev, REPEATER, frequency)
 
     def test_slow_loop_near_corner_matches_closed_form(self):
         # at f >> f_corner the loop decays by only exp(-1.6) per period, so
         # the trace is right only if it starts on the periodic orbit
         dev = DeviceParams(f0=1e7)
-        topo = Topology.repeater()
-        oracle = abs(closed_loop_gain(dev, topo, 4e7))
-        assert simulated_gain(dev, topo, 4e7) == pytest.approx(oracle, rel=1e-3)
+        oracle = abs(closed_loop_gain(dev, REPEATER, 4e7))
+        assert simulated_gain(dev, REPEATER, 4e7) == pytest.approx(oracle, rel=1e-3)
 
 
 class TestSimulateInvariants:
@@ -166,15 +166,14 @@ class TestSimulateInvariants:
 
     def test_amplitude_converged_in_dt(self):
         dev = DeviceParams(f0=1e7)
-        topo = Topology.repeater()
-        coarse = simulated_gain(dev, topo, 5e6, SimConfig(steps_per_period=256))
-        fine = simulated_gain(dev, topo, 5e6, SimConfig(steps_per_period=512))
+        coarse = simulated_gain(dev, REPEATER, 5e6, SimConfig(steps_per_period=256))
+        fine = simulated_gain(dev, REPEATER, 5e6, SimConfig(steps_per_period=512))
         assert abs(fine - coarse) / fine < 1e-4
 
     @pytest.mark.parametrize("f_over_f0", [0.01, 1.0, 10.0])
     def test_repeater_never_amplifies(self, f_over_f0):
         dev = DeviceParams(f0=1e7)
-        gain = simulated_gain(dev, Topology.repeater(), f_over_f0 * dev.f0)
+        gain = simulated_gain(dev, REPEATER, f_over_f0 * dev.f0)
         assert gain <= 1.0 + 1e-9
 
     def test_fast_path_matches_stepwise_rk4(self):
@@ -204,9 +203,9 @@ class TestSimulateInvariants:
         "f0, topo, f",
         [
             (97.73e6, Topology(feedback_r=100.0, gain_r=1.0), 1e4),
-            (1e7, Topology.repeater(), 4e7),
+            (1e7, REPEATER, 4e7),
             # the loop decays by only exp(-0.06) per period here
-            (1e6, Topology.repeater(), 1e8),
+            (1e6, REPEATER, 1e8),
         ],
     )
     def test_trace_is_one_period_of_the_orbit(self, f0, topo, f):
