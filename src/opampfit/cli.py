@@ -75,7 +75,6 @@ def _run_config(config_path, overrides: dict) -> RunConfig:
     try:
         cfg = RunConfig() if config_path is None else RunConfig.from_file(config_path)
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        cfg.validate()
     except ValueError as err:
         _fail(EXIT_PARSE, str(err))
     return cfg
@@ -95,15 +94,17 @@ def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
                             **stream})
 
 
-def _check_topology_flags(big_r, small_r) -> None:
-    """--R and --r must come as a pair that makes a valid Topology."""
+def _topology_flags(big_r, small_r) -> Topology | None:
+    """The Topology of --R and --r, which must come as a valid pair or not
+    at all."""
     if (big_r is None) != (small_r is None):
         raise click.UsageError("give both --R and --r or neither")
-    if big_r is not None:
-        try:
-            Topology(feedback_r=big_r, gain_r=small_r)
-        except ValueError as err:
-            raise click.BadParameter(str(err), param_hint="'--R' / '--r'") from None
+    if big_r is None:
+        return None
+    try:
+        return Topology(feedback_r=big_r, gain_r=small_r)
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint="'--R' / '--r'") from None
 
 
 def _config_options(command):
@@ -197,10 +198,10 @@ def _write_plot_data(directory, header: str, files: dict) -> None:
               help="Directory for transformed-points and fitted-line CSVs.")
 def fit(sweep_path, big_r, small_r, weighted, plot_dir):
     """Fit the crossover frequency of a sweep file by linear regression."""
-    _check_topology_flags(big_r, small_r)
+    topology = _topology_flags(big_r, small_r)
     record, _ = read_sweep_file(sweep_path)
-    if big_r is not None:
-        record = replace(record, feedback_r=big_r, gain_r=small_r)
+    if topology is not None:
+        record = replace(record, topology=topology)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CalibrationWarning)
         est = fit_f0(record, weighted=weighted)
@@ -233,9 +234,9 @@ def quick(sweep_path, ratio, big_r, small_r, baseline):
     """Quick crossover frequency from the n-fold gain-drop point."""
     if not ratio > 1.0:
         raise click.BadParameter("must exceed 1", param_hint="--n")
-    _check_topology_flags(big_r, small_r)
+    topology = _topology_flags(big_r, small_r)
     record, _ = read_sweep_file(sweep_path)
-    est = QuickCrossoverFit(n=ratio, feedback_r=big_r, gain_r=small_r, baseline=baseline)
+    est = QuickCrossoverFit(n=ratio, topology=topology, baseline=baseline)
     est.fit(record.frequency_hz, record.gain)
     _echo(f"f0_hz = {est.f0_hz_:.6g}")
     _echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")
@@ -308,7 +309,7 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
         if noise_refusal is not None:
             gains = gains[:noise_refusal[0]]
         slope, _, corr, _, rel_dev, fit_refusal = _fit_rows(
-            clean.frequency_hz, gains, False, clean.feedback_r, clean.gain_r)
+            clean.frequency_hz, gains, False, clean.topology)
         refusal = fit_refusal or noise_refusal
         passed = len(seeds) if refusal is None else refusal[0]
         f0_values[start:start + passed] = 1.0 / np.sqrt(slope[:passed])

@@ -46,14 +46,6 @@ def as_float_array(values, name: str, min_len: int = 1) -> np.ndarray:
     return arr
 
 
-def _ideal_intercept(feedback_r: float | None, gain_r: float | None) -> float | None:
-    """1/(R/r + 1)^2 from the topology, when it is known."""
-    if feedback_r is None or gain_r is None:
-        return None
-    beta = Topology(feedback_r=feedback_r, gain_r=gain_r).beta
-    return beta * beta
-
-
 def _sweep_arrays(frequency_hz, gain) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and gains of a sweep as 1-D arrays of finite floats of
     equal length, at least 3 points, all positive; ValueError otherwise."""
@@ -156,8 +148,7 @@ def _fit_lines(u: np.ndarray, v: np.ndarray, weighted: bool):
     return slope, intercept, corr, refusal
 
 
-def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
-              feedback_r: float | None, gain_r: float | None):
+def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool, topology: Topology | None):
     """Roll-off regressions of every row of gains ``y`` (shape
     ``(rows, points)``) over the frequencies ``f``, each checked as one fit
     is, in this order: the range of the (f^2, 1/gain^2) plane, the line's
@@ -166,10 +157,10 @@ def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
     deviation from it that is out of range.
 
     Returns the per-row slope, intercept and corr of :func:`_fit_lines`,
-    the topology's ideal intercept and each row's relative deviation from
-    it (both None without resistors, or when no row gets that far), and
-    the first refusal: ``(row, message)``, or None.  Rows from the refused
-    one on are not meaningful.
+    the topology's ideal intercept ``beta^2`` and each row's relative
+    deviation from it (both None without a topology, or when no row gets
+    that far), and the first refusal: ``(row, message)``, or None.  Rows
+    from the refused one on are not meaningful.
     """
     u, v, in_range = _roll_off_plane(f, y)
     passed, refusal = len(y), None
@@ -182,7 +173,8 @@ def _fit_rows(f: np.ndarray, y: np.ndarray, weighted: bool,
         if codes.any():
             passed = int(np.argmax(codes > 0))
             refusal = (passed, _LINE_REFUSALS[codes[passed] - 1])
-    intercept_expected = _ideal_intercept(feedback_r, gain_r) if passed else None
+    intercept_expected = (topology.beta * topology.beta
+                          if passed and topology is not None else None)
     rel_dev = None
     if intercept_expected is not None and intercept_expected < _TINY:
         refusal = (0, _INTERCEPT_UNDERFLOW)
@@ -207,12 +199,11 @@ def _calibration(rel_dev: np.ndarray):
 @dataclass(frozen=True)
 class SweepRecord:
     """Ordered (frequency, gain magnitude) samples of one sweep, real or
-    synthetic, with optional topology metadata for diagnostics."""
+    synthetic, with the feedback network it was taken in, when known."""
 
     frequency_hz: np.ndarray
     gain: np.ndarray
-    feedback_r: float | None = None
-    gain_r: float | None = None
+    topology: Topology | None = None
 
     def __post_init__(self):
         f, y = _sweep_arrays(self.frequency_hz, self.gain)
@@ -234,14 +225,14 @@ class CrossoverFrequencyFit:
 
     Fits a straight line to ``v = 1/gain^2`` against ``u = f^2`` and reads
     ``f0 = 1/sqrt(slope)``.  The intercept is fitted freely; when the
-    feedback resistors are given, the relative deviation of the intercept
-    from the ideal ``1/(R/r + 1)^2`` is reported as a calibration
+    topology is given, the relative deviation of the intercept from the
+    ideal ``beta^2 = 1/(R/r + 1)^2`` is reported as a calibration
     diagnostic (a deviation beyond 20 percent warns).
 
     Parameters
     ----------
-    feedback_r, gain_r : float, optional
-        Feedback-network resistors in ohms, enabling the intercept
+    topology : Topology, optional
+        Feedback network of the amplifier, enabling the intercept
         diagnostic.
     weighted : bool, default False
         Weight the line fit by 1/v^2 (constant relative gain noise) instead
@@ -260,20 +251,14 @@ class CrossoverFrequencyFit:
         Ideal intercept and the relative deviation of the fit from it.
     """
 
-    def __init__(
-        self,
-        feedback_r: float | None = None,
-        gain_r: float | None = None,
-        weighted: bool = False,
-    ):
-        self.feedback_r = feedback_r
-        self.gain_r = gain_r
+    def __init__(self, topology: Topology | None = None, weighted: bool = False):
+        self.topology = topology
         self.weighted = weighted
 
     def fit(self, frequency_hz, gain) -> "CrossoverFrequencyFit":
         f, y = _sweep_arrays(frequency_hz, gain)
         slope, intercept, corr, intercept_expected, rel_dev, refusal = _fit_rows(
-            f, y[np.newaxis], self.weighted, self.feedback_r, self.gain_r)
+            f, y[np.newaxis], self.weighted, self.topology)
         # refused before any attribute is set, so a failed fit leaves the
         # estimator as it was
         if refusal is not None:
@@ -294,11 +279,9 @@ class CrossoverFrequencyFit:
 
 
 def fit_f0(record: SweepRecord, weighted: bool = False) -> CrossoverFrequencyFit:
-    """The roll-off regression of a sweep record, with the record's
-    resistors: the fitted :class:`CrossoverFrequencyFit`."""
-    est = CrossoverFrequencyFit(
-        feedback_r=record.feedback_r, gain_r=record.gain_r, weighted=weighted
-    )
+    """The roll-off regression of a sweep record with its topology: the
+    fitted :class:`CrossoverFrequencyFit`."""
+    est = CrossoverFrequencyFit(topology=record.topology, weighted=weighted)
     return est.fit(record.frequency_hz, record.gain)
 
 
@@ -310,20 +293,14 @@ class QuickCrossoverFit:
     locates the frequency where the gain crosses ``y0/n`` by linear
     interpolation in the (f^2, 1/gain^2) plane - where the model is exactly
     linear - and applies ``f0 = prefactor * f_fraction / sqrt(n^2 - 1)``.
-    The prefactor is the ideal DC gain from the topology when both resistors
-    are given, otherwise the measured ``y0``.
+    The prefactor is the topology's ideal DC gain when the topology is
+    given, otherwise the measured ``y0``.
     """
 
-    def __init__(
-        self,
-        n: float = 2.0,
-        feedback_r: float | None = None,
-        gain_r: float | None = None,
-        baseline: str = "first",
-    ):
+    def __init__(self, n: float = 2.0, topology: Topology | None = None,
+                 baseline: str = "first"):
         self.n = n
-        self.feedback_r = feedback_r
-        self.gain_r = gain_r
+        self.topology = topology
         self.baseline = baseline
 
     def fit(self, frequency_hz, gain) -> "QuickCrossoverFit":
@@ -365,10 +342,7 @@ class QuickCrossoverFit:
             u_cross = u[lo] + (v_target - v[lo]) * (u[hi] - u[lo]) / (v[hi] - v[lo])
         f_fraction = math.sqrt(u_cross)
 
-        if self.feedback_r is not None and self.gain_r is not None:
-            scale = Topology(feedback_r=self.feedback_r, gain_r=self.gain_r).ideal_dc_gain
-        else:
-            scale = y0
+        scale = y0 if self.topology is None else self.topology.ideal_dc_gain
         f0 = scale * f_fraction / math.sqrt(self.n * self.n - 1.0)
         # refused before any attribute is set, as a failed regression is
         if not math.isfinite(f0):

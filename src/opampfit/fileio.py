@@ -323,7 +323,7 @@ def _config_value(name: str, annotation: str, value, allow_inf: bool):
     raise ValueError(f"config field {name!r}: expected {expected}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration: device, topology, sweep plan, noise, and
     integrator settings.  Defaults describe a gain-101 amplifier around a
@@ -348,14 +348,13 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
         annotations = {f.name: f.type for f in fields(cls)}
-        cfg = cls()
+        values = {}
         for key, value in data.items():
             if key not in annotations:
                 raise ValueError(f"unknown config field {key!r}")
-            value = _config_value(key, annotations[key], value, key in cls._INFINITE_FIELDS)
-            setattr(cfg, key, value)
-        cfg.validate()
-        return cfg
+            values[key] = _config_value(key, annotations[key], value,
+                                        key in cls._INFINITE_FIELDS)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -364,13 +363,17 @@ class RunConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
+        except UnicodeDecodeError as err:
+            raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
+        except (ValueError, RecursionError) as err:  # an over-long integer, or deep nesting
+            raise ParseError(path, None, f"invalid JSON: {err}") from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a flat JSON object")
         return cls.from_mapping(data)
 
-    def validate(self) -> None:
-        """Re-run the underlying type invariants; raises ValueError with the
-        offending field spelled out."""
+    def __post_init__(self):
+        """Check the configuration by building every underlying type;
+        ValueError with the offending part spelled out."""
         for build, label in (
             (self.device, "device"),
             (self.topology, "topology"),

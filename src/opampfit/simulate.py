@@ -446,9 +446,4 @@ def run_sweep(
     # times the rounded 1/tau0, as the trace's drive is: dividing by tau0
     # instead moves the last bit of every gain
     gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
-    return SweepRecord(
-        frequency_hz=freqs,
-        gain=gains,
-        feedback_r=topo.feedback_r,
-        gain_r=topo.gain_r,
-    )
+    return SweepRecord(frequency_hz=freqs, gain=gains, topology=topo)

@@ -727,6 +727,9 @@ PROBE_FILES = {
     "tiny_line.csv": b"frequency_hz,gain\n1e4,3e-70\n2e4,2e-70\n3e4,1e-70\n",
     "huge_freq.csv": b"frequency_hz,gain\n1e100,100\n2e100,90\n3e100,40\n",
     "huge_plane.csv": b"frequency_hz,gain\n1e100,1e-100\n2e100,0.9e-100\n3e100,0.4e-100\n",
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    "long_int.json": b'{"seed": ' + b"1" * 5001 + b"}",
+    "latin1.json": b'{"f0_hz": 1e8, "spacing": "caf\xe9"}',
 }
 
 
@@ -776,6 +779,10 @@ PROBES = [
     (["mc", "out.csv", "--trials", "1", "--corr-threshold", "inf"], 2),
     (["mc", "out.csv", "--trials", "1", "--corr-threshold", "nan"], 2),
     (["mc", "out.csv", "--trials", "1", "--corr-threshold", "1.5"], 2),
+    # config files that JSON's decoder refuses past its syntax errors
+    (["synth", "out.csv", "--config", "deep.json"], 3),
+    (["synth", "out.csv", "--config", "long_int.json"], 3),
+    (["mc", "out.csv", "--config", "latin1.json"], 3),
 ]
 
 
@@ -808,6 +815,10 @@ CONFIG_VALUE = st.one_of(NUMBER, st.integers(-2, 10**6), st.none(), st.booleans(
                          st.sampled_from(["inf", "log", "linear", ""]))
 CONFIG = st.one_of(
     st.binary(max_size=40),
+    # nesting past the decoder's recursion limit, an integer past int()'s
+    # digit limit, and a byte that is not UTF-8 inside a valid object
+    st.sampled_from([b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"1" * 5001 + b"}",
+                     b'{"n_points": 8, "spacing": "lin\xffear"}']),
     st.fixed_dictionaries({}, optional={
         **{name: CONFIG_VALUE for name in (
             "f0_hz", "g0", "feedback_r_ohm", "gain_r_ohm", "divider_r1_ohm", "divider_r2_ohm",

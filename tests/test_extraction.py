@@ -37,14 +37,12 @@ def synthetic_record(f0, feedback_r, gain_r, f_min, f_max, n, sigma=0.0, seed=No
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
         gains = gains * (1.0 + sigma * rng.standard_normal(n))
-    meta = dict(feedback_r=feedback_r, gain_r=gain_r) if with_meta else {}
-    return SweepRecord(frequency_hz=freqs, gain=gains, **meta)
+    return SweepRecord(frequency_hz=freqs, gain=gains, topology=topo if with_meta else None)
 
 
 def quick_f0(record, n=2.0, baseline="first"):
-    """QuickCrossoverFit's f0 of a sweep record, with the record's resistors."""
-    est = QuickCrossoverFit(n=n, feedback_r=record.feedback_r, gain_r=record.gain_r,
-                            baseline=baseline)
+    """QuickCrossoverFit's f0 of a sweep record, with the record's topology."""
+    est = QuickCrossoverFit(n=n, topology=record.topology, baseline=baseline)
     return est.fit(record.frequency_hz, record.gain).f0_hz_
 
 
@@ -74,6 +72,7 @@ class TestSweepRecord:
     def test_expected_intercept(self):
         rec = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 1e5, 16)
         assert fit_f0(rec).intercept_expected_ == pytest.approx(101.0**-2, rel=1e-12)
+        assert fit_f0(rec).intercept_expected_ == rec.topology.beta * rec.topology.beta
         bare = SweepRecord(rec.frequency_hz, rec.gain)
         assert fit_f0(bare).intercept_expected_ is None
 
@@ -289,7 +288,7 @@ class TestQuickFit:
         base = synthetic_record(9.773e7, 100.0, 1.0, 1e4, 3e6, 256)  # carries meta
         base_free = SweepRecord(base.frequency_hz, base.gain)
         scaled_gain = base.gain * 0.9
-        with_meta = SweepRecord(base.frequency_hz, scaled_gain, feedback_r=100.0, gain_r=1.0)
+        with_meta = SweepRecord(base.frequency_hz, scaled_gain, Topology(100.0, 1.0))
         without_meta = SweepRecord(base.frequency_hz, scaled_gain)
         # known topology pins the prefactor, so a miscalibrated gain cancels;
         # the measured-y0 variant inherits the scale error linearly
@@ -349,17 +348,17 @@ class TestEstimatorApi:
     def test_failed_fit_leaves_estimator_unfitted(self):
         # (R/r + 1)^-2 = 1e-400 underflows, which the fit refuses
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
-        est = CrossoverFrequencyFit(feedback_r=1e200, gain_r=1.0)
+        est = CrossoverFrequencyFit(Topology(feedback_r=1e200, gain_r=1.0))
         with pytest.raises(FitError, match="underflows"):
             est.fit(record.frequency_hz, record.gain)
         assert fitted_attributes(est) == {}
 
     def test_failed_refit_keeps_the_previous_fit(self):
-        est = CrossoverFrequencyFit(feedback_r=1989.0, gain_r=20.1)
+        est = CrossoverFrequencyFit(Topology(feedback_r=1989.0, gain_r=20.1))
         first = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
         before = fitted_attributes(est.fit(first.frequency_hz, first.gain))
         assert {"f0_hz_", "intercept_rel_dev_"} <= set(before)
-        est.feedback_r, est.gain_r = 1e200, 1.0
+        est.topology = Topology(feedback_r=1e200, gain_r=1.0)
         second = synthetic_record(97.73e6, 100.0, 1.0, 1e4, 2e6, 64)
         with pytest.raises(FitError, match="underflows"):
             est.fit(second.frequency_hz, second.gain)
@@ -375,10 +374,20 @@ class TestEstimatorApi:
 
     def test_calibration_warning_on_miscalibrated_gain(self):
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64, with_meta=False)
-        est = CrossoverFrequencyFit(feedback_r=1989.0, gain_r=20.1)
+        est = CrossoverFrequencyFit(Topology(feedback_r=1989.0, gain_r=20.1))
         with pytest.warns(CalibrationWarning):
             est.fit(record.frequency_hz, record.gain * 2.0)
         assert abs(est.intercept_rel_dev_) > 0.2
+
+    @pytest.mark.parametrize("build", [
+        lambda: SweepRecord([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], feedback_r=1.0),
+        lambda: CrossoverFrequencyFit(feedback_r=100.0),
+        lambda: QuickCrossoverFit(gain_r=1.0),
+    ], ids=["SweepRecord", "CrossoverFrequencyFit", "QuickCrossoverFit"])
+    def test_feedback_network_is_one_topology_not_a_resistor(self, build):
+        # a half pair of resistors cannot be written, so no check is skipped
+        with pytest.raises(TypeError):
+            build()
 
     def test_no_warning_when_calibrated(self):
         record = synthetic_record(39.6e6, 1989.0, 20.1, 1e4, 2e6, 64)
@@ -464,7 +473,7 @@ class TestOutOfRangeReadouts:
     @pytest.mark.filterwarnings("error")
     def test_deviation_out_of_range_is_refused(self):
         # a normal ideal intercept of 1e-300 against a fitted one near -8e138
-        est = CrossoverFrequencyFit(feedback_r=1e150, gain_r=1.0)
+        est = CrossoverFrequencyFit(Topology(feedback_r=1e150, gain_r=1.0))
         with pytest.raises(FitError, match="deviation .* out of floating-point range"):
             est.fit([1e4, 2e4, 3e4], [3e-70, 2e-70, 1e-70])
         assert fitted_attributes(est) == {}
@@ -473,7 +482,7 @@ class TestOutOfRangeReadouts:
     def test_rows_are_refused_at_their_first_out_of_range_deviation(self):
         f = np.array([1e4, 2e4, 3e4])
         gains = np.array([[3.0, 2.0, 1.0], [3e-70, 2e-70, 1e-70], [3e-80, 2e-80, 1e-80]])
-        *_, rel_dev, refusal = _fit_rows(f, gains, False, 1e150, 1.0)
+        *_, rel_dev, refusal = _fit_rows(f, gains, False, Topology(feedback_r=1e150, gain_r=1.0))
         assert np.isfinite(rel_dev[0]) and refusal[0] == 1
         assert "deviation" in refusal[1]
 
@@ -481,11 +490,11 @@ class TestOutOfRangeReadouts:
         # the topology's prefactor times f_(1/n) overflows
         ([1e100, 2e100, 3e100], [100.0, 90.0, 40.0], (1e300, 1.0)),
         # the crossing's interpolation overflows
-        ([1e100, 2e100, 3e100], [1e-100, 0.9e-100, 0.4e-100], (None, None)),
+        ([1e100, 2e100, 3e100], [1e-100, 0.9e-100, 0.4e-100], ()),
     ])
     @pytest.mark.filterwarnings("error")
     def test_quick_f0_out_of_range_is_refused(self, freqs, gains, resistors):
-        est = QuickCrossoverFit(n=2.0, feedback_r=resistors[0], gain_r=resistors[1])
+        est = QuickCrossoverFit(n=2.0, topology=Topology(*resistors) if resistors else None)
         with pytest.raises(FitError, match="crossover frequency is out of floating-point range"):
             est.fit(freqs, gains)
         assert fitted_attributes(est) == {}

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -472,7 +473,6 @@ def test_batch_round_trip_is_byte_exact(tmp_path, ids, values, comments):
 class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
-        cfg.validate()
         assert cfg.device().f0 == 97.73e6
         assert math.isinf(cfg.device().g0)
         assert cfg.topology().beta == pytest.approx(1.0 / 101.0, rel=1e-15)
@@ -526,6 +526,25 @@ class TestRunConfig:
             RunConfig.from_mapping({"n_points": 2})
         with pytest.raises(ValueError, match="device"):
             RunConfig.from_mapping({"f0_hz": -1.0})
+
+    @pytest.mark.parametrize("data,message", [
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"seed": ' + b"1" * 5001 + b"}", "invalid JSON: Exceeds the limit"),
+        (b'{"f0_hz": 1e8, "spacing": "caf\xe9"}', "not UTF-8 text (invalid continuation byte)"),
+    ], ids=["deep", "long_int", "latin1"])
+    def test_undecodable_file_is_a_parse_error_naming_it(self, tmp_path, data, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as excinfo:
+            RunConfig.from_file(path)
+        assert str(excinfo.value).startswith(f"{path}: {message}")
+
+    def test_is_immutable_and_valid_once_built(self):
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.n_points = 2
+        with pytest.raises(ValueError, match="invalid sweep plan configuration: n_points"):
+            RunConfig(n_points=2)
 
     def test_invalid_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -276,7 +276,7 @@ class TestRunSweep:
         )
         result = fit_f0(record)
         assert result.f0_hz_ == pytest.approx(9.773e7, rel=1e-4)
-        assert record.feedback_r == 100.0 and record.gain_r == 1.0
+        assert record.topology == Topology(feedback_r=100.0, gain_r=1.0)
 
     def test_noise_stays_within_five_sigma(self):
         dev = DeviceParams(f0=9.773e7)
@@ -373,7 +373,7 @@ class TestAddGainNoise:
         assert np.array_equal(reused.gain, direct.gain)
         assert np.array_equal(reused.frequency_hz, direct.frequency_hz)
         assert np.array_equal(direct.gain, noise_oracle(clean, 3e-3, words))
-        assert (reused.feedback_r, reused.gain_r) == (direct.feedback_r, direct.gain_r)
+        assert reused.topology == direct.topology == self.TOPO
 
     def test_noiseless_model_returns_record(self):
         clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 8))
