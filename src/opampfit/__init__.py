@@ -9,7 +9,6 @@ from .circuit import (
     DeviceParams,
     Topology,
     closed_loop_gain,
-    crossover_from_minus3db,
     inverse_gain_squared,
     quick_f0_general,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "add_gain_noise",
     "analyze_batch",
     "closed_loop_gain",
-    "crossover_from_minus3db",
     "fit_f0",
     "inverse_gain_squared",
     "lockin_demodulate",

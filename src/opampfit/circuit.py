@@ -125,35 +125,21 @@ def inverse_gain_squared(dev: DeviceParams, topo: Topology, f: float) -> float:
     return topo.beta * topo.beta + x * x
 
 
-def quick_f0_general(topo: Topology, n: float, f_fraction: float) -> float:
+def quick_f0_general(dc_gain: float, n: float, f_fraction: float) -> float:
     """Crossover frequency from the point where the gain drops n-fold.
 
-    If ``f_fraction`` is the frequency at which the closed-loop gain has
-    fallen to ``1/n`` of its DC value, then in the infinite-``g0`` limit
+    If the closed-loop gain falls to ``1/n`` of its DC value ``dc_gain`` at
+    ``f_fraction``, then in the infinite-``g0`` limit, for every feedback
+    fraction ``beta`` in (0, 1],
 
-        f0 = (R/r + 1) * f_fraction / sqrt(n^2 - 1).
+        f0 = dc_gain * f_fraction / sqrt(n^2 - 1);
 
-    Requires ``n > 1`` and a finite-DC-gain topology (for a repeater use
-    :func:`crossover_from_minus3db` instead).
+    ``n = sqrt(2)`` gives the -3 dB relation.  ``dc_gain`` is a topology's
+    ``ideal_dc_gain`` (1 for a repeater) or a measured low-frequency gain.
+    Requires ``n > 1`` and ``f_fraction > 0``.
     """
     if not n > 1.0:
         raise ValueError(f"gain ratio n must exceed 1, got {n!r}")
-    if topo.is_repeater:
-        raise ValueError(
-            "quick f0 formula requires a finite DC gain > 1; "
-            "for a repeater use crossover_from_minus3db"
-        )
     if not f_fraction > 0.0:
         raise ValueError(f"f_fraction must be positive, got {f_fraction!r}")
-    return topo.ideal_dc_gain * f_fraction / math.sqrt(n * n - 1.0)
-
-
-def crossover_from_minus3db(topo: Topology, f_3db: float) -> float:
-    """Crossover frequency from the closed-loop -3 dB frequency.
-
-    ``f0 = (R_F + R_G)/R_G * f_3db``; an open gain resistor (repeater) gives
-    factor 1, i.e. the two frequencies coincide.
-    """
-    if not f_3db > 0.0:
-        raise ValueError(f"f_3db must be positive, got {f_3db!r}")
-    return topo.ideal_dc_gain * f_3db
+    return dc_gain * f_fraction / math.sqrt(n * n - 1.0)

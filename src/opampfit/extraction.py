@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Topology
+from .circuit import Topology, quick_f0_general
 
 
 class FitError(RuntimeError):
@@ -290,11 +290,11 @@ class QuickCrossoverFit:
 
     Takes the low-frequency gain ``y0`` from the sweep (first point by
     default, or the mean of the lowest decile with ``baseline="low_decile"``),
-    locates the frequency where the gain crosses ``y0/n`` by linear
-    interpolation in the (f^2, 1/gain^2) plane - where the model is exactly
-    linear - and applies ``f0 = prefactor * f_fraction / sqrt(n^2 - 1)``.
-    The prefactor is the topology's ideal DC gain when the topology is
-    given, otherwise the measured ``y0``.
+    locates the frequency ``f_fraction`` where the gain crosses ``y0/n`` by
+    linear interpolation in the (f^2, 1/gain^2) plane - where the model is
+    exactly linear - and passes it to :func:`~opampfit.circuit.quick_f0_general`
+    with the topology's ideal DC gain (1 for a repeater), or without a
+    topology the measured ``y0``.
     """
 
     def __init__(self, n: float = 2.0, topology: Topology | None = None,
@@ -341,11 +341,13 @@ class QuickCrossoverFit:
         with np.errstate(over="ignore"):  # an overflowed crossing is refused below
             u_cross = u[lo] + (v_target - v[lo]) * (u[hi] - u[lo]) / (v[hi] - v[lo])
         f_fraction = math.sqrt(u_cross)
-
-        scale = y0 if self.topology is None else self.topology.ideal_dc_gain
-        f0 = scale * f_fraction / math.sqrt(self.n * self.n - 1.0)
-        # refused before any attribute is set, as a failed regression is
-        if not math.isfinite(f0):
+        # refused before any attribute is set, as a failed regression is: a
+        # crossing whose f^2 underflowed to 0, and an f0 that over- or underflowed
+        if not f_fraction > 0.0:
+            raise FitError(_F0_OUT_OF_RANGE)
+        f0 = quick_f0_general(y0 if self.topology is None else self.topology.ideal_dc_gain,
+                              self.n, f_fraction)
+        if not 0.0 < f0 < math.inf:
             raise FitError(_F0_OUT_OF_RANGE)
         self.baseline_gain_ = y0
         self.f_fraction_hz_ = f_fraction

@@ -365,8 +365,10 @@ class RunConfig:
             raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
         except UnicodeDecodeError as err:
             raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
-        except (ValueError, RecursionError) as err:  # an over-long integer, or deep nesting
+        except RecursionError as err:  # nesting past the decoder's depth limit
             raise ParseError(path, None, f"invalid JSON: {err}") from None
+        except ValueError:  # the one left: an integer past int()'s digit limit
+            raise ParseError(path, None, "invalid JSON: an integer is too long") from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a flat JSON object")
         return cls.from_mapping(data)

@@ -22,7 +22,6 @@ from opampfit import (
     add_gain_noise,
     analyze_batch,
     closed_loop_gain,
-    crossover_from_minus3db,
     fit_f0,
     lockin_demodulate,
     quick_f0_general,
@@ -136,7 +135,7 @@ def test_criterion_4_quick_method_consistency():
         lambda f: abs(closed_loop_gain(dev, topo, f)) - y0 / 2.0,
         1e3, 1e9, xtol=1e-6, rtol=8.9e-16,
     )
-    identity_dev = abs(quick_f0_general(topo, 2.0, f_half) - truth) / truth
+    identity_dev = abs(quick_f0_general(topo.ideal_dc_gain, 2.0, f_half) - truth) / truth
     elapsed = time.perf_counter() - started
     ok = method_dev <= 1e-3 and identity_dev <= 1e-9
     assert report(
@@ -161,7 +160,8 @@ def test_criterion_5_crossover_relation():
 
     f_sqrt2 = brentq(lambda f: power_ratio(f) - 0.5, 1e3, 1e9, rtol=8.9e-16)
     f_exact_3db = brentq(lambda f: power_ratio(f) - 10.0**-0.3, 1e3, 1e9, rtol=8.9e-16)
-    crossover_dev = abs(crossover_from_minus3db(topo, f_sqrt2) - truth) / truth
+    crossover_dev = abs(
+        quick_f0_general(topo.ideal_dc_gain, math.sqrt(2.0), f_sqrt2) - truth) / truth
     mismatch = power_ratio(f_exact_3db) - power_ratio(f_sqrt2)
     mismatch_ok = abs(mismatch - 1.19e-3) < 5e-6
     elapsed = time.perf_counter() - started

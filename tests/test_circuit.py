@@ -10,7 +10,6 @@ from opampfit import (
     DeviceParams,
     Topology,
     closed_loop_gain,
-    crossover_from_minus3db,
     inverse_gain_squared,
     quick_f0_general,
 )
@@ -195,77 +194,100 @@ class TestInverseGainSquared:
             assert diff == pytest.approx((f / dev.f0) ** 2, rel=1e-9)
 
 
+def root_found_fraction_point(dev, topo, n):
+    """The frequency where the closed-form gain has dropped n-fold."""
+    y0 = abs(closed_loop_gain(dev, topo, 0.0))
+    return brentq(
+        lambda f: abs(closed_loop_gain(dev, topo, f)) - y0 / n,
+        1e3, 1e9, xtol=1e-6, rtol=8.9e-16,
+    )
+
+
 class TestQuickF0:
     def test_resistor_values_recover_f0(self):
         # oracle: invert the formula at the target crossover frequency
         topo = Topology(feedback_r=1989.0, gain_r=20.1)
         f_half = math.sqrt(3.0) * 39.6e6 / topo.ideal_dc_gain
-        assert quick_f0_general(topo, 2.0, f_half) == pytest.approx(39.6e6, rel=1e-12)
+        assert quick_f0_general(topo.ideal_dc_gain, 2.0, f_half) == pytest.approx(
+            39.6e6, rel=1e-12)
 
     def test_prefactor_cancels(self):
         topo = Topology(feedback_r=math.sqrt(3.0) - 1.0, gain_r=1.0)
-        assert quick_f0_general(topo, 2.0, 1e6) == pytest.approx(1e6, rel=1e-12)
+        assert quick_f0_general(topo.ideal_dc_gain, 2.0, 1e6) == pytest.approx(1e6, rel=1e-12)
 
     def test_against_root_found_half_gain_point(self):
-        # oracle: root-find the half-gain frequency on the closed-form response
         dev = DeviceParams(f0=9.773e7)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
-        y0 = abs(closed_loop_gain(dev, topo, 0.0))
-        f_half = brentq(
-            lambda f: abs(closed_loop_gain(dev, topo, f)) - y0 / 2.0,
-            1e3, 1e9, xtol=1e-6, rtol=8.9e-16,
-        )
-        assert quick_f0_general(topo, 2.0, f_half) == pytest.approx(dev.f0, rel=1e-9)
+        f_half = root_found_fraction_point(dev, topo, 2.0)
+        assert quick_f0_general(topo.ideal_dc_gain, 2.0, f_half) == pytest.approx(
+            dev.f0, rel=1e-9)
 
-    def test_repeater_rejected(self):
-        with pytest.raises(ValueError, match="repeater"):
-            quick_f0_general(REPEATER, 2.0, 1e6)
+    def test_repeater_against_root_found_fraction_points(self):
+        # beta = 1: |Y| = 1/|1 + j*f/f0| drops n-fold at f0*sqrt(n^2 - 1)
+        dev = DeviceParams(f0=9.773e7)
+        for n in (math.sqrt(2.0), 2.0, 3.0):
+            f_fraction = root_found_fraction_point(dev, REPEATER, n)
+            assert quick_f0_general(REPEATER.ideal_dc_gain, n, f_fraction) == pytest.approx(
+                dev.f0, rel=1e-9)
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
-            quick_f0_general(Topology(feedback_r=100.0, gain_r=1.0), 2.0, 0.0)
+            quick_f0_general(101.0, 2.0, 0.0)
 
 
 class TestQuickF0General:
     def test_sqrt2_case(self):
-        # sqrt(n^2 - 1) = 1, so this is the -3 dB relation with gain 101
+        # sqrt(n^2 - 1) reads one ulp above 1 at n = sqrt(2), so the -3 dB
+        # relation dc_gain * f_3db holds to within two ulps
         topo = Topology(feedback_r=1000.0, gain_r=10.0)
-        assert quick_f0_general(topo, math.sqrt(2.0), 1e6) == pytest.approx(101e6, rel=1e-12)
-        assert crossover_from_minus3db(topo, 1e6) == pytest.approx(101e6, rel=1e-12)
+        assert quick_f0_general(topo.ideal_dc_gain, math.sqrt(2.0), 1e6) == pytest.approx(
+            topo.ideal_dc_gain * 1e6, rel=2.0 * 2.0**-52)
 
     @pytest.mark.parametrize("n", [1.0, 0.5, -2.0])
     def test_rejects_n_at_most_one(self, n):
         with pytest.raises(ValueError):
-            quick_f0_general(Topology(feedback_r=100.0, gain_r=1.0), n, 1e6)
+            quick_f0_general(101.0, n, 1e6)
 
-    def test_repeater_routes_to_minus3db_relation(self):
-        with pytest.raises(ValueError):
-            quick_f0_general(REPEATER, math.sqrt(2.0), 410e6)
-        assert crossover_from_minus3db(REPEATER, 410e6) == 410e6
+    def test_repeater_is_the_relation_at_unit_dc_gain(self):
+        # the repeater is refused nowhere: its DC gain is 1 and the relation
+        # is the same one, at n = sqrt(2) as at any other n
+        assert quick_f0_general(REPEATER.ideal_dc_gain, math.sqrt(2.0), 410e6) == \
+            pytest.approx(410e6, rel=1e-15)
+        assert quick_f0_general(REPEATER.ideal_dc_gain, 3.0, 410e6) == 410e6 / math.sqrt(8.0)
 
     def test_scale_covariance(self):
         topo = Topology(feedback_r=47.0, gain_r=3.3)
-        one = quick_f0_general(topo, 3.0, 1.25e5)
-        assert quick_f0_general(topo, 3.0, 2.5e5) == 2.0 * one
+        one = quick_f0_general(topo.ideal_dc_gain, 3.0, 1.25e5)
+        assert quick_f0_general(topo.ideal_dc_gain, 3.0, 2.5e5) == 2.0 * one
+
+    def test_infinite_dc_gain_is_not_refused(self):
+        # an ideal DC gain that overflowed is the estimator's refusal to make
+        assert quick_f0_general(math.inf, 2.0, 1e6) == math.inf
 
 
 class TestCrossoverFromMinus3db:
+    """The -3 dB relation, ``f0 = dc_gain * f_3db``: the quick relation at
+    ``n = sqrt(2)``, which reads ``sqrt(n^2 - 1)`` one ulp above 1."""
+
     def test_gain_101(self):
-        assert crossover_from_minus3db(
-            Topology(feedback_r=1000.0, gain_r=10.0), 1e6
-        ) == pytest.approx(101e6, rel=1e-12)
+        topo = Topology(feedback_r=1000.0, gain_r=10.0)
+        assert quick_f0_general(topo.ideal_dc_gain, math.sqrt(2.0), 1e6) == pytest.approx(
+            101e6, rel=1e-12)
 
     def test_repeater_identity(self):
         # unity-gain case: crossover and -3 dB frequencies coincide
-        assert crossover_from_minus3db(Topology(feedback_r=0.0, gain_r=10.0), 410e6) == 410e6
+        topo = Topology(feedback_r=0.0, gain_r=10.0)
+        assert quick_f0_general(topo.ideal_dc_gain, math.sqrt(2.0), 410e6) == pytest.approx(
+            410e6, rel=1e-15)
 
     def test_equal_resistors_double(self):
         topo = Topology(feedback_r=220.0, gain_r=220.0)
-        assert crossover_from_minus3db(topo, 5e6) == pytest.approx(10e6, rel=1e-15)
+        assert quick_f0_general(topo.ideal_dc_gain, math.sqrt(2.0), 5e6) == pytest.approx(
+            10e6, rel=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            crossover_from_minus3db(REPEATER, 0.0)
+            quick_f0_general(REPEATER.ideal_dc_gain, math.sqrt(2.0), 0.0)
 
 
 def test_minus3db_gain_squared_mismatch():

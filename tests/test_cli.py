@@ -727,6 +727,8 @@ PROBE_FILES = {
     "tiny_line.csv": b"frequency_hz,gain\n1e4,3e-70\n2e4,2e-70\n3e4,1e-70\n",
     "huge_freq.csv": b"frequency_hz,gain\n1e100,100\n2e100,90\n3e100,40\n",
     "huge_plane.csv": b"frequency_hz,gain\n1e100,1e-100\n2e100,0.9e-100\n3e100,0.4e-100\n",
+    "tiny_freq.csv": b"frequency_hz,gain\n1e-170,2\n2e-170,1\n3e-170,0.5\n",
+    "deep_drop.csv": b"frequency_hz,gain\n1,1e10\n2,1e-100\n3,1e-151\n",
     "deep.json": b"[" * 100_000 + b"]" * 100_000,
     "long_int.json": b'{"seed": ' + b"1" * 5001 + b"}",
     "latin1.json": b'{"f0_hz": 1e8, "spacing": "caf\xe9"}',
@@ -775,6 +777,9 @@ PROBES = [
     # quick's f0 overflows: the prefactor times f_(1/n), and the crossing
     (["quick", "huge_freq.csv", "--n", "2", "--R", "1e300", "--r", "1"], 4),
     (["quick", "huge_plane.csv"], 4),
+    # quick's f0 underflows to zero: f^2 at the crossing, and n^2 overflowing
+    (["quick", "tiny_freq.csv"], 4),
+    (["quick", "deep_drop.csv", "--n", "1e160"], 4),
     # a correlation lies in [-1, 1], so no other threshold means anything
     (["mc", "out.csv", "--trials", "1", "--corr-threshold", "inf"], 2),
     (["mc", "out.csv", "--trials", "1", "--corr-threshold", "nan"], 2),
@@ -922,8 +927,8 @@ def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
     if result.exit_code in (3, 4):
         assert result.stderr.splitlines()[-1].startswith("error: ")
     if result.exit_code == 0:
-        # a successful command only warns on stderr, and every number it
-        # prints is finite
+        # a successful command only warns on stderr, every number it prints
+        # is finite, and every f0 it prints is positive
         for line in result.stderr.splitlines():
             assert line.startswith("warning: "), line
         for name, value in parse_report(result.stdout).items():
@@ -932,4 +937,6 @@ def test_any_generated_call_keeps_the_exit_code_contract(tmp_path, call):
             except ValueError:
                 continue
             assert math.isfinite(number), (name, value)
+            if name in ("f0_hz", "mean_f0_hz"):
+                assert number > 0.0, (name, value)
     assert elapsed < BUDGET_S

@@ -297,6 +297,12 @@ class TestQuickFit:
             0.9 * quick_f0(base_free), rel=1e-9
         )
 
+    def test_repeater_reads_f0_at_unit_dc_gain(self):
+        # beta = 1: the closed-form |Y| = 1/|1 + j*f/f0| halves at f0*sqrt(3)
+        record = synthetic_record(9.773e7, 0.0, math.inf, 1e3, 3e8, 512)
+        assert record.topology.is_repeater
+        assert quick_f0(record, n=2.0) == pytest.approx(9.773e7, rel=1e-9)
+
     def test_low_decile_baseline(self):
         # log spacing keeps the whole lowest decile in the flat region, where
         # averaging and the single-point baseline must agree
@@ -491,6 +497,8 @@ class TestOutOfRangeReadouts:
         ([1e100, 2e100, 3e100], [100.0, 90.0, 40.0], (1e300, 1.0)),
         # the crossing's interpolation overflows
         ([1e100, 2e100, 3e100], [1e-100, 0.9e-100, 0.4e-100], ()),
+        # f^2 underflows to zero, so the crossing is at zero
+        ([1e-170, 2e-170, 3e-170], [2.0, 1.0, 0.5], ()),
     ])
     @pytest.mark.filterwarnings("error")
     def test_quick_f0_out_of_range_is_refused(self, freqs, gains, resistors):

@@ -56,6 +56,13 @@ def test_named_api_is_exported():
     assert sorted(set(named) - set(opampfit.__all__)) == []
 
 
+def test_stated_config_commands_are_the_commands_with_the_option():
+    (stated,) = re.findall(r"^(.*) accepts? `--config run\.json`", README, flags=re.M)
+    having = {name for name, command in main.commands.items()
+              if any("--config" in param.opts for param in command.params)}
+    assert set(re.findall(r"`(\w+)`", stated)) == having
+
+
 def test_config_block_names_every_field():
     (block,) = fenced_blocks("json")
     data = json.loads(block)
