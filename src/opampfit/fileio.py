@@ -7,9 +7,9 @@ preserved verbatim by the reader, so emitted files round-trip byte-for-byte.
 Floats are written with ``repr``, the shortest locale-independent form that
 parses back to the same value.
 
-Each reader first parses a file's body as whole arrays.  Where that path
-refuses anything, the row loop reads the file again from the start: it
-alone names a bad line, and it accepts what the array path leaves to it
+Each reader reads a file once, parsing its body as arrays in chunks of
+lines.  Each chunk that the array parse refuses is read by the row loop: it
+alone names a bad line, and it accepts what the array parse leaves to it
 (``1_0``, say, which ``float()`` reads and ``np.loadtxt`` does not), so the
 two agree on every file.
 """
@@ -52,11 +52,11 @@ def _parse_float(token: str, path, line_no: int, column: str) -> float:
     return value
 
 
-def _content_lines(fh, comments: list[str]):
-    """Yield ``(line_no, line)`` for each line of the open CSV ``fh`` that
-    is neither blank nor a comment, without its line end.  Lines starting
-    with ``#`` are appended to ``comments`` verbatim."""
-    for line_no, raw in enumerate(iter(fh.readline, ""), start=1):
+def _content_lines(lines, comments: list[str], start: int = 1):
+    """Yield ``(line_no, line)`` for each of ``lines``, numbered from
+    ``start``, that is neither blank nor a comment, without its line end.
+    Lines starting with ``#`` are appended to ``comments`` verbatim."""
+    for line_no, raw in enumerate(lines, start):
         # a line holds no CR or LF but its one terminator
         line = raw.rstrip("\r\n")
         if line.startswith("#"):
@@ -65,35 +65,43 @@ def _content_lines(fh, comments: list[str]):
             yield line_no, line
 
 
-def _data_rows(path: Path, headers: tuple[str, ...], comments: list[str]):
-    """Yield ``(line_no, fields)`` for each data row of the UTF-8 CSV at
-    ``path``.
+_CHUNK = 1 << 16  # a chunk of a file body: whole lines, just over this many characters
 
-    Comment lines go to ``comments`` and blank lines are skipped
+
+def _read_table(path: Path, body_type):
+    """The UTF-8 CSV at ``path`` read into a new ``body_type``: its ``result``.
+
+    Comment lines go to the comments and blank lines are skipped
     (:func:`_content_lines`); the first other line must be one of
-    ``headers``, and every later one must have as many comma-separated
-    fields as it.  Any departure, including bytes that are not UTF-8,
-    raises ParseError.
+    ``body_type.HEADERS``.  The rest is read once, in chunks of lines: each
+    goes to the body's ``table``, and where that refuses it, the row loop
+    reads that chunk, one ``body.row`` a line, with the line count carried
+    over.  Every row must have as many comma-separated fields as the header.
+    Any departure, including bytes that are not UTF-8, raises ParseError.
     """
+    comments: list[str] = []
+    body = body_type()
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            lines = _content_lines(fh, comments)
-            line_no, header = next(lines, (None, None))
+            line_no, header = next(_content_lines(fh, comments), (None, None))
             if header is None:
                 raise ParseError(path, None, "no header line found")
-            if header not in headers:
-                expected = " or ".join(repr(h) for h in headers)
+            if header not in body.HEADERS:
+                expected = " or ".join(repr(h) for h in body.HEADERS)
                 raise ParseError(path, line_no, f"expected header {expected}, got {header!r}")
             n_fields = header.count(",") + 1
-            for line_no, line in lines:
-                fields = line.split(",")
-                if len(fields) != n_fields:
-                    raise ParseError(
-                        path, line_no, f"expected {n_fields} columns, got {len(fields)}"
-                    )
-                yield line_no, fields
+            while rows := fh.readlines(_CHUNK):
+                if not body.table(rows, n_fields):
+                    for row_no, line in _content_lines(rows, comments, line_no + 1):
+                        fields = line.split(",")
+                        if len(fields) != n_fields:
+                            raise ParseError(path, row_no,
+                                             f"expected {n_fields} columns, got {len(fields)}")
+                        body.row(path, row_no, fields)
+                line_no += len(rows)
     except UnicodeDecodeError as err:
         raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
+    return body.result(path, comments)
 
 
 def _text_field(value: str) -> str:
@@ -136,70 +144,56 @@ def _write_csv(path, header: str, columns, comments=()) -> None:
 
 def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:
     """Parse a sweep CSV; returns the record and its comment lines."""
-    path = Path(path)
-    return _read_sweep_table(path) or _read_sweep_rows(path)
+    return _read_table(Path(path), _SweepBody)
 
 
-def _table_lines(fh):
-    """The rest of the open CSV ``fh``, line by line, for ``np.loadtxt``.
+class _SweepBody:
+    """Sweep rows, chunk by chunk, with the last frequency carried over."""
 
-    Raises ValueError if the first line is blank, since loadtxt warns on a
-    body without rows, and at a 64 KiB chunk of lines holding one of
-    \\x1c to \\x1f, which loadtxt strips as whitespace and ``float()``
-    refuses.
-    """
-    rows = fh.readlines(1 << 16)
-    if not rows or rows[0].isspace():
-        raise ValueError("no data row straight after the header")
-    while rows:
-        chunk = "".join(rows)
-        if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("a separator character that float() refuses")
-        yield from rows
-        rows = fh.readlines(1 << 16)
+    HEADERS = (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR)
 
+    def __init__(self):
+        # per chunk an array from table(), then the list that row() fills
+        self.f: list = [[]]
+        self.gain: list = [[]]
+        self.last_f = 0.0
 
-def _read_sweep_table(path: Path) -> tuple[SweepRecord, list[str]] | None:
-    """The sweep at ``path`` with its body parsed by ``np.loadtxt``, or None
-    where the row loop must read it.
+    def table(self, rows: list[str], n_fields: int) -> bool:
+        """Take ``rows`` as parsed by ``np.loadtxt``; False, taking nothing,
+        where the row loop might read them otherwise.
 
-    A finite positive gain ``u_out_v/u_in_v`` implies finite voltages and a
-    nonzero ``u_in_v``, so SweepRecord's checks refuse what the row loop does.
-    """
-    comments: list[str] = []
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            _, header = next(_content_lines(fh, comments), (None, None))
-            if header not in (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR):
-                return None
-            table = np.loadtxt(_table_lines(fh), delimiter=",", comments=None, ndmin=2)
-        if table.shape[1] != header.count(",") + 1:
-            return None
-        gain = table[:, 1]
-        if table.shape[1] == 3:
-            # a division numpy warns about gives a gain SweepRecord refuses
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                gain = table[:, 2] / table[:, 1]
-        return SweepRecord(frequency_hz=table[:, 0], gain=gain), comments
-    except ValueError:  # UnicodeDecodeError included
-        return None
+        Refused: a blank first row, since loadtxt warns on a chunk without
+        rows, and \\x1c to \\x1f, which loadtxt strips as whitespace and
+        ``float()`` refuses.  A finite positive gain ``u_out_v/u_in_v``
+        implies finite voltages and a nonzero ``u_in_v``.
+        """
+        text = "".join(rows)
+        if rows[0].isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+            return False
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return False
+        if table.shape[1] != n_fields:
+            return False
+        f = table[:, 0].copy()  # a column view would keep the whole table
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gain = table[:, 1].copy() if n_fields == 2 else table[:, 2] / table[:, 1]
+        # comparisons, unlike a difference of two infinities, raise no numpy warning
+        if not (self.last_f < f[0] and (f[:-1] < f[1:]).all() and f[-1] < math.inf
+                and ((gain > 0.0) & (gain < math.inf)).all()):
+            return False
+        self.f += [f, []]
+        self.gain += [gain, []]
+        self.last_f = float(f[-1])
+        return True
 
-
-def _read_sweep_rows(path: Path) -> tuple[SweepRecord, list[str]]:
-    """:func:`read_sweep_file` one row at a time, naming the first bad line."""
-    comments: list[str] = []
-    freqs: list[float] = []
-    gains: list[float] = []
-    prev_f = 0.0
-    for line_no, fields in _data_rows(path, (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR), comments):
+    def row(self, path: Path, line_no: int, fields: list[str]) -> None:
         f = _parse_float(fields[0], path, line_no, "frequency_hz")
-        if f <= prev_f:
-            raise ParseError(
-                path, line_no,
-                f"frequencies must be strictly increasing and positive "
-                f"({f!r} after {prev_f!r})",
-            )
-        prev_f = f
+        if f <= self.last_f:
+            raise ParseError(path, line_no, "frequencies must be strictly increasing and "
+                             f"positive ({f!r} after {self.last_f!r})")
+        self.last_f = f
         if len(fields) == 2:
             gain = _parse_float(fields[1], path, line_no, "gain")
         else:
@@ -212,12 +206,15 @@ def _read_sweep_rows(path: Path) -> tuple[SweepRecord, list[str]]:
                 raise ParseError(path, line_no, f"gain u_out_v/u_in_v overflows ({gain!r})")
         if gain <= 0.0:
             raise ParseError(path, line_no, f"gain must be positive, got {gain!r}")
-        freqs.append(f)
-        gains.append(gain)
-    if len(freqs) < 3:
-        raise ParseError(path, None, f"need at least 3 data rows, got {len(freqs)}")
-    record = SweepRecord(frequency_hz=np.array(freqs), gain=np.array(gains))
-    return record, comments
+        self.f[-1].append(f)
+        self.gain[-1].append(gain)
+
+    def result(self, path: Path, comments: list[str]) -> tuple[SweepRecord, list[str]]:
+        f, gain = np.concatenate(self.f), np.concatenate(self.gain)
+        del self.f, self.gain  # the chunks go before SweepRecord copies f and gain
+        if f.size < 3:
+            raise ParseError(path, None, f"need at least 3 data rows, got {f.size}")
+        return SweepRecord(frequency_hz=f, gain=gain), comments
 
 
 def write_sweep_file(path, record: SweepRecord, comments: list[str] | tuple = ()) -> None:
@@ -226,70 +223,72 @@ def write_sweep_file(path, record: SweepRecord, comments: list[str] | tuple = ()
 
 def read_batch_file(path) -> tuple[list[str], np.ndarray, list[str]]:
     """Parse a batch CSV; returns sample ids, f0 values, and comment lines."""
-    path = Path(path)
-    return _read_batch_table(path) or _read_batch_rows(path)
+    return _read_table(Path(path), _BatchBody)
 
 
-def _read_batch_table(path: Path) -> tuple[list[str], np.ndarray, list[str]] | None:
-    """The batch at ``path`` with its body parsed in 64 KiB chunks of lines,
-    or None where the row loop must read it."""
-    comments: list[str] = []
-    ids: list[str] = []
-    chunks: list[np.ndarray] = []
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            if next(_content_lines(fh, comments), (None, None))[1] != BATCH_HEADER:
-                return None
-            while rows := fh.readlines(1 << 16):
-                tokens = ",".join(rows).split(",")
-                heads = "".join(tokens[0::2])
-                # every row holds one comma exactly when there are two
-                # tokens a row and no line end falls in a first field; a
-                # '#' there may start a comment line
-                if len(tokens) != 2 * len(rows) or any(c in heads for c in "\r\n#"):
-                    return None
-                ids.extend(map(str.strip, tokens[0::2]))
-                chunks.append(np.fromiter(map(float, tokens[1::2]), float, len(rows)))
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    unique = set(ids)
-    if not ids or "" in unique or len(unique) != len(ids):
-        return None
-    values = np.concatenate(chunks)
-    if not (np.isfinite(values) & (values > 0.0)).all():
-        return None
-    return ids, values, comments
+class _BatchBody:
+    """Batch rows, chunk by chunk, with the ids seen so far carried over."""
 
+    HEADERS = (BATCH_HEADER,)
 
-def _read_batch_rows(path: Path) -> tuple[list[str], np.ndarray, list[str]]:
-    """:func:`read_batch_file` one row at a time, naming the first bad line."""
-    comments: list[str] = []
-    ids: list[str] = []
-    values: list[float] = []
-    seen: set[str] = set()
-    for line_no, fields in _data_rows(path, (BATCH_HEADER,), comments):
+    def __init__(self):
+        self.ids: list[str] = []
+        self.seen: set[str] = set()
+        # per chunk an array from table(), then the list that row() fills
+        self.values: list = [[]]
+
+    def table(self, rows: list[str], n_fields: int) -> bool:
+        """Take ``rows`` as parsed by ``float()`` over their fields; False,
+        taking nothing, where the row loop must read them."""
+        tokens = ",".join(rows).split(",")
+        heads = "".join(tokens[0::2])
+        # every row holds one comma exactly when there are two tokens a row and
+        # no line end falls in a first field; a '#' there may open a comment
+        if len(tokens) != n_fields * len(rows) or any(c in heads for c in "\r\n#"):
+            return False
+        try:
+            values = np.fromiter(map(float, tokens[1::2]), float, len(rows))
+        except ValueError:
+            return False
+        ids = list(map(str.strip, tokens[0::2]))
+        n_seen = len(self.seen)
+        self.seen.update(ids)
+        if (len(self.seen) != n_seen + len(ids) or "" in self.seen
+                or not ((values > 0.0) & (values < math.inf)).all()):
+            self.seen = set(self.ids)  # the row loop names the bad row
+            return False
+        self.ids += ids
+        self.values += [values, []]
+        return True
+
+    def row(self, path: Path, line_no: int, fields: list[str]) -> None:
         sample_id = fields[0].strip()
         if not sample_id:
             raise ParseError(path, line_no, "sample_id must be non-empty")
-        if sample_id in seen:
+        if sample_id in self.seen:
             raise ParseError(path, line_no, f"duplicate sample_id {sample_id!r}")
-        seen.add(sample_id)
+        self.seen.add(sample_id)
         f0 = _parse_float(fields[1], path, line_no, "f0_hz")
         if f0 <= 0.0:
             raise ParseError(path, line_no, f"f0_hz must be positive, got {f0!r}")
-        ids.append(sample_id)
-        values.append(f0)
-    if not ids:
-        raise ParseError(path, None, "no data rows found")
-    return ids, np.array(values), comments
+        self.ids.append(sample_id)
+        self.values[-1].append(f0)
+
+    def result(self, path: Path, comments: list[str]) -> tuple[list[str], np.ndarray, list[str]]:
+        if not self.ids:
+            raise ParseError(path, None, "no data rows found")
+        return self.ids, np.concatenate(self.values), comments
 
 
 def write_batch_file(path, ids, f0_hz, comments: list[str] | tuple = ()) -> None:
     if len(ids) != len(f0_hz):
         raise ValueError(f"got {len(ids)} ids for {len(f0_hz)} values")
     ids = [str(i) for i in ids]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate sample id {next(i for i in ids if ids.count(i) > 1)!r}")
+    seen: set[str] = set()
+    for sample_id in ids:  # the first id that repeats one before it, as the reader names it
+        if sample_id in seen:
+            raise ValueError(f"duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
     bad = [v for v in map(float, f0_hz) if not 0.0 < v < math.inf]
     if bad:
         raise ValueError(f"f0_hz values must be positive and finite, got {bad[0]!r}")

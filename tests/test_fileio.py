@@ -23,13 +23,8 @@ from opampfit import (
     write_batch_file,
     write_sweep_file,
 )
-from opampfit.fileio import (
-    _read_batch_rows,
-    _read_batch_table,
-    _read_sweep_rows,
-    _read_sweep_table,
-    format_metadata,
-)
+from opampfit import fileio
+from opampfit.fileio import format_metadata
 
 
 def parse_metadata(comments) -> dict[str, str]:
@@ -168,8 +163,13 @@ class TestBatchFile:
         assert not path.exists()
 
     def test_duplicate_id_is_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="duplicate sample id 'a'"):
-            write_batch_file(tmp_path / "b.csv", ["a", "b", "a"], [1.0, 2.0, 3.0])
+        # named as the reader names it: the first id that repeats one before
+        # it, found in one pass over the ids
+        for ids, named in ((["a", "b", "a"], "a"), (["a", "b", "b", "a"], "b"),
+                           ([*map(str, range(200_000)), "199999"], "199999")):
+            with pytest.raises(ValueError, match=f"duplicate sample id '{named}'"):
+                write_batch_file(tmp_path / "b.csv", ids, np.ones(len(ids)))
+        assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_value_that_would_not_read_back_is_refused(self, tmp_path, bad):
@@ -286,16 +286,48 @@ ODD_FIELDS = ["1_0", "\u0661", "\xa02\xa0", "\x0b3", "\x1c4", "", " ", "nan", "-
 LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
 
 
+def first_chunk(header: str, end: str = "\n") -> list[str]:
+    """Well-formed rows, each ending in ``end``, that follow ``header`` and
+    fill the readers' first chunk exactly: the row after them opens the
+    second."""
+    rows: list[str] = []
+    size = 0
+    while size <= fileio._CHUNK:  # readlines stops once it has read more than a chunk
+        i = len(rows)
+        first = f"d{i}" if header.startswith("sample") else f"{i + 1}e3"
+        values = ["2", repr(100.0 / (1.0 + i / 1000.0))][-header.count(","):]
+        rows.append(",".join([first, *values]) + end)
+        size += len(rows[-1])
+    return rows
+
+
+def second_chunk_opens_with(header: str, *lines: str, before: str = "") -> bytes:
+    """The bytes of a file whose second chunk opens with ``lines``."""
+    return (before + header + "\n" + "".join(first_chunk(header))
+            + "".join(line + "\n" for line in lines)).encode("utf-8")
+
+
+N_FIRST = len(first_chunk("frequency_hz,gain"))  # rows in a sweep's first chunk
+
+
 @st.composite
 def csv_rows(draw):
     """The bytes of a sweep or batch file that is mostly well formed, with
     the departures either reader meets: odd fields, extra and missing
     columns, blank, whitespace-only and comment lines anywhere, mixed line
-    ends and bytes that are not UTF-8."""
+    ends and bytes that are not UTF-8.  One file in four holds a first
+    chunk of well-formed rows, so the drawn rows fall in the second."""
     header = draw(st.sampled_from(["frequency_hz,gain", "frequency_hz,u_in_v,u_out_v",
                                    "sample_id,f0_hz"]))
     lines = [*draw(st.lists(st.sampled_from(["# a", "", " "]), max_size=2)), header]
-    for i in range(draw(st.integers(0, 12))):
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    prefix = first_chunk(header, draw(st.sampled_from(LINE_ENDS))) if draw(
+        st.integers(0, 3)) == 0 else []
+    text += "".join(prefix)
+    lines = []
+    for i in range(len(prefix), len(prefix) + draw(st.integers(0, 12))):
         kind = draw(st.integers(0, 19))
         if kind < 16:
             first = f"d{i}" if header.startswith("sample") else f"{i + 1}e3"
@@ -310,7 +342,8 @@ def csv_rows(draw):
             lines.append(draw(st.sampled_from(["", " \x0b\xa0", "# c,1", "# c,1,2"])))
     ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
                          max_size=len(lines)))
-    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    text += "".join(map(str.__add__, lines, ends))
+    data = text.encode("utf-8")
     if draw(st.integers(0, 9)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
@@ -332,33 +365,85 @@ def read_outcome(reader, path):
     return ids, values.tolist(), comments
 
 
+def row_loop_outcome(reader, path):
+    """:func:`read_outcome` with the array parse refusing every chunk, so
+    that the row loop alone reads the file."""
+    with pytest.MonkeyPatch.context() as patch:
+        for body in (fileio._SweepBody, fileio._BatchBody):
+            patch.setattr(body, "table", lambda self, rows, n_fields: False)
+        return read_outcome(reader, path)
+
+
 @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.one_of(csv_rows(), ANY_BYTES))
 # a separator np.loadtxt strips and float() refuses
 @example(data=b"frequency_hz,gain\n1,2\n2,\x1c2\n3,2\n")
+# infinite frequencies, whose difference numpy warns about
+@example(data=b"frequency_hz,gain\ninf,2\ninf,2\n5,2\n")
 # a comment line with one comma among batch rows
 @example(data=b"sample_id,f0_hz\na,1\n# b,2\nc,3\n")
 # rows of one and three fields, which split into two tokens a row
 @example(data=b"sample_id,f0_hz\na,1\n5\n6,2,3\n")
 @example(data=b"sample_id,f0_hz\ra,1\r5\r6,2,3\r")
+# the state carried from chunk 1 to chunk 2: the last frequency, the ids seen
+@example(data=second_chunk_opens_with("frequency_hz,gain", "1e3,2"))
+@example(data=second_chunk_opens_with("sample_id,f0_hz", "d0,1"))
+# a comment and a blank line opening chunk 2, then a row that reads
+@example(data=second_chunk_opens_with("frequency_hz,u_in_v,u_out_v", "# c", "",
+                                      f"{N_FIRST + 1}e3,1,2", before="# a\n"))
+@example(data=second_chunk_opens_with("frequency_hz,gain", f"{N_FIRST + 1}e3,\x1c2"))
+# a chunk of blank lines alone, on which np.loadtxt warns
+@example(data=second_chunk_opens_with("frequency_hz,gain", ""))
 def test_array_path_and_row_loop_agree(tmp_path, data):
     # the row loop is the reference: the readers must refuse with its exact
     # error or return what it returns, bit for bit
     path = tmp_path / "any.csv"
     path.write_bytes(data)
-    for reader, row_loop in ((read_sweep_file, _read_sweep_rows),
-                             (read_batch_file, _read_batch_rows)):
-        assert read_outcome(reader, path) == read_outcome(row_loop, path)
+    for reader in (read_sweep_file, read_batch_file):
+        assert read_outcome(reader, path) == row_loop_outcome(reader, path)
 
 
-def test_array_path_reads_what_the_writers_write(tmp_path):
+def test_array_path_reads_what_the_writers_write(tmp_path, monkeypatch):
+    def row(self, path, line_no, fields):
+        raise AssertionError(f"the row loop read line {line_no}")
+
+    for body in (fileio._SweepBody, fileio._BatchBody):
+        monkeypatch.setattr(body, "row", row)
     path = tmp_path / "f.csv"
     write_sweep_file(path, sample_record(), ["# a"])
-    assert _read_sweep_table(path) is not None
+    read_sweep_file(path)
     path.write_text(PAIR + "1,2,3\r\n2,2,3\r\n3,2,3\r\n\r\n", encoding="utf-8")
-    assert _read_sweep_table(path) is not None
-    write_batch_file(path, [f"d{i}" for i in range(5000)], np.arange(1.0, 5001.0), ["# a"])
-    assert _read_batch_table(path) is not None
+    read_sweep_file(path)
+    write_batch_file(path, [f"d{i}" for i in range(50_000)], np.arange(1.0, 50_001.0), ["# a"])
+    read_batch_file(path)
+
+
+def test_file_refused_at_its_last_row_is_read_once(tmp_path, monkeypatch):
+    # the file is opened once, and the row loop reads the one chunk that the
+    # array parse refuses, not the file
+    rows = [f"{f!r},{2.0 + f / 1e9!r}\n" for f in (np.arange(1.0, 200_000.0) * 10.0).tolist()]
+    path = tmp_path / "late.csv"
+    path.write_text(GAIN + "".join(rows) + "2e7,abc\n", encoding="utf-8")
+    opened, rows_read = [], []
+    path_open, row_loop = Path.open, fileio._SweepBody.row
+
+    def counted_open(self, *args, **kwargs):
+        opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    def counted_row(self, path, line_no, fields):
+        rows_read.append(line_no)
+        row_loop(self, path, line_no, fields)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    monkeypatch.setattr(fileio._SweepBody, "row", counted_row)
+    with pytest.raises(ParseError) as excinfo:
+        read_sweep_file(path)
+    assert (str(excinfo.value), excinfo.value.line_no) == (
+        f"{path}:200001: gain value 'abc' is not a number", 200_001)
+    assert opened == [path]
+    assert 0 < len(rows_read) <= fileio._CHUNK // min(map(len, rows)) + 1
+    assert rows_read[-1] == 200_001
 
 
 # Peak memory of reading a file, per row, over a subprocess that only reads
@@ -372,12 +457,13 @@ getattr(opampfit, sys.argv[1])(sys.argv[2])
 print(next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM:")))
 """
 PEAK_ROWS = 200_000
-# Measured at 200,000 rows: the row loop's lists of floats take 112 B a row
-# in either header form; the arrays take 35 B (gain) and 49 B (u_in, u_out).
+# Measured at 200,000 rows: the chunks' arrays take 32-46 B a row (gain) and
+# 34 B (u_in, u_out).  Where the row loop reads every chunk, its lists of
+# floats take 102 B a row in either header form.
 MAX_PEAK_BYTES_PER_SWEEP_ROW = 64
-# Measured at 200,000 rows: the array path takes 141 B a row with digit ids
-# and 173 B with 34-character ids, the row loop 164 B and 195 B.  Each id
-# stays a Python str.
+# Measured at 200,000 rows: the array parse takes 128 B a row with digit ids
+# and 159-164 B with 34-character ids; where the row loop reads every chunk,
+# 173 B and 204 B.  Each id stays a Python str.
 MAX_PEAK_BYTES_PER_BATCH_ROW = 224
 
 
