@@ -22,7 +22,6 @@ from .extraction import (
     CrossoverFrequencyFit,
     FitError,
     QuickCrossoverFit,
-    SweepRangeError,
     SweepRecord,
     fit_f0,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SimConfig",
     "SimulationError",
     "SweepPlan",
-    "SweepRangeError",
     "SweepRecord",
     "TimeSeries",
     "Topology",

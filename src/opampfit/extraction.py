@@ -22,14 +22,6 @@ class FitError(RuntimeError):
     """The sweep cannot be turned into a crossover frequency."""
 
 
-class SweepRangeError(FitError):
-    """The sweep does not reach the requested gain drop."""
-
-    def __init__(self, message: str, max_attainable_n: float):
-        super().__init__(message)
-        self.max_attainable_n = max_attainable_n
-
-
 class CalibrationWarning(UserWarning):
     """Fitted intercept is far from the value the topology predicts."""
 
@@ -330,12 +322,8 @@ class QuickCrossoverFit:
             )
         above = np.nonzero(v >= v_target)[0]
         if above.size == 0:
-            max_n = y0 / float(y.min())
-            raise SweepRangeError(
-                f"sweep range too narrow for n = {self.n:g} "
-                f"(largest attainable n is {max_n:.4g})",
-                max_attainable_n=max_n,
-            )
+            raise FitError(f"sweep range too narrow for n = {self.n:g} "
+                           f"(largest attainable n is {y0 / float(y.min()):.4g})")
         hi = int(above[0])
         lo = hi - 1
         with np.errstate(over="ignore"):  # an overflowed crossing is refused below

@@ -33,11 +33,9 @@ BATCH_HEADER = "sample_id,f0_hz"
 
 
 class ParseError(Exception):
-    """A file failed to parse; carries the offending location."""
+    """A file failed to parse; the message leads with its ``path:line_no`` (or ``path``)."""
 
     def __init__(self, path, line_no: int | None, message: str):
-        self.path = str(path)
-        self.line_no = line_no
         where = f"{path}:{line_no}" if line_no is not None else str(path)
         super().__init__(f"{where}: {message}")
 
@@ -76,7 +74,8 @@ def _read_table(path: Path, body_type):
     ``body_type.HEADERS``.  The rest is read once, in chunks of lines: each
     goes to the body's ``table``, and where that refuses it, the row loop
     reads that chunk, one ``body.row`` a line, with the line count carried
-    over.  Every row must have as many comma-separated fields as the header.
+    over, and ``body.end_chunk`` then keeps what it read as arrays.  Every
+    row must have as many comma-separated fields as the header.
     Any departure, including bytes that are not UTF-8, raises ParseError.
     """
     comments: list[str] = []
@@ -98,6 +97,7 @@ def _read_table(path: Path, body_type):
                             raise ParseError(path, row_no,
                                              f"expected {n_fields} columns, got {len(fields)}")
                         body.row(path, row_no, fields)
+                    body.end_chunk()
                 line_no += len(rows)
     except UnicodeDecodeError as err:
         raise ParseError(path, None, f"not UTF-8 text ({err.reason})") from None
@@ -153,7 +153,7 @@ class _SweepBody:
     HEADERS = (SWEEP_HEADER_GAIN, SWEEP_HEADER_PAIR)
 
     def __init__(self):
-        # per chunk an array from table(), then the list that row() fills
+        # an array per chunk read, then the list that row() fills
         self.f: list = [[]]
         self.gain: list = [[]]
         self.last_f = 0.0
@@ -209,6 +209,11 @@ class _SweepBody:
         self.f[-1].append(f)
         self.gain[-1].append(gain)
 
+    def end_chunk(self) -> None:
+        """The row loop's chunk as arrays, 8 B a value where a listed float takes 32."""
+        self.f[-1:] = [np.array(self.f[-1], dtype=float), []]
+        self.gain[-1:] = [np.array(self.gain[-1], dtype=float), []]
+
     def result(self, path: Path, comments: list[str]) -> tuple[SweepRecord, list[str]]:
         f, gain = np.concatenate(self.f), np.concatenate(self.gain)
         del self.f, self.gain  # the chunks go before SweepRecord copies f and gain
@@ -234,7 +239,7 @@ class _BatchBody:
     def __init__(self):
         self.ids: list[str] = []
         self.seen: set[str] = set()
-        # per chunk an array from table(), then the list that row() fills
+        # an array per chunk read, then the list that row() fills
         self.values: list = [[]]
 
     def table(self, rows: list[str], n_fields: int) -> bool:
@@ -273,6 +278,10 @@ class _BatchBody:
             raise ParseError(path, line_no, f"f0_hz must be positive, got {f0!r}")
         self.ids.append(sample_id)
         self.values[-1].append(f0)
+
+    def end_chunk(self) -> None:
+        """The row loop's chunk of values as an array, as in :meth:`_SweepBody.end_chunk`."""
+        self.values[-1:] = [np.array(self.values[-1], dtype=float), []]
 
     def result(self, path: Path, comments: list[str]) -> tuple[list[str], np.ndarray, list[str]]:
         if not self.ids:

@@ -8,8 +8,8 @@ which is integrated with classical fixed-step 4th-order Runge-Kutta.  For
 this linear equation one RK4 step is exactly the affine map
 ``u[k+1] = A*u[k] + (h/6)*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1})`` with a
 constant homogeneous factor ``A`` and three stimulus samples per step.
-Every planned step must be stable, ``A < 1``, which is checked before
-anything is computed.
+Every planned step must be stable, ``A < 1``, and not so fine that ``A``
+rounds to 1; both are checked before anything is computed.
 
 The time-domain trace API (:func:`simulate_steady_state`,
 :func:`lockin_demodulate`) evaluates that recurrence with
@@ -59,16 +59,9 @@ MAX_SWEEP_POINTS = 2**16
 
 
 class SimulationError(RuntimeError):
-    """The planned integration is too large or unstable, it produced a
-    non-finite state, or gain noise made a recorded gain non-positive or
-    non-finite.
-    ``step_index`` is the first offending step (0 when the plan is refused
-    before integrating, or for a noise draw)."""
-
-    def __init__(self, message: str, step_index: int, frequency: float | None = None):
-        super().__init__(message)
-        self.step_index = step_index
-        self.frequency = frequency
+    """The planned integration is too large, unstable or too fine for the
+    loop, its response overflowed, or gain noise made a recorded gain
+    non-positive or non-finite.  The message names the frequency."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +169,7 @@ def _rk4_affine(a: float, h):
 def _stable_affine(a: float, h, frequency):
     """:func:`_rk4_affine` for steps ``h`` taken at each ``frequency`` (a
     scalar or an ascending array), refused with :class:`SimulationError` at
-    the first frequency whose step is unstable."""
+    the first frequency whose growth factor ``A`` is not below 1."""
     step = _rk4_affine(a, h)
     # A is the quartic Taylor polynomial of exp(a*h), which is always
     # positive, so A < 1 is the whole stability condition.  The step grows
@@ -185,13 +178,24 @@ def _stable_affine(a: float, h, frequency):
     unstable = np.flatnonzero(~(big_a < 1.0))
     if unstable.size:
         k = unstable[0]
+        f, h_k = np.ravel(frequency)[k], np.ravel(h)[k]
+        # A rounds to 1 only on a step far finer than the loop's time constant
+        if big_a[k] == 1.0:
+            raise SimulationError(f"at {f:.6g} Hz the RK4 step ({h_k:.3e} s) is too fine "
+                                  "for the loop: its growth factor rounds to 1")
         raise SimulationError(
-            f"RK4 step is unstable (growth factor {big_a[k]:.6g} >= 1 per step; "
-            f"step size {np.ravel(h)[k]:.3e} s does not resolve the loop time constant)",
-            step_index=1,
-            frequency=float(np.ravel(frequency)[k]),
-        )
+            f"at {f:.6g} Hz the RK4 step is unstable (growth factor {big_a[k]:.6g} >= 1 "
+            f"per step; step size {h_k:.3e} s does not resolve the loop time constant)")
     return step
+
+
+def _refuse_overflow(response: np.ndarray, frequency) -> None:
+    """SimulationError at the first non-finite ``response``, taken at ``frequency``."""
+    bad = np.flatnonzero(~np.isfinite(response))
+    if bad.size:
+        f = np.broadcast_to(frequency, response.shape)[bad[0]]
+        raise SimulationError(f"at {f:.6g} Hz the steady-state response overflows the "
+                              "floating-point range")
 
 
 def lfilter(b, a, x):
@@ -228,12 +232,6 @@ def _integrate_linear(step, forcing_half_grid: np.ndarray, h: float) -> np.ndarr
     u0 = u[-1] / -math.expm1(n_steps * log_a)
     decay = np.arange(n_steps + 1) * log_a
     u += u0 * np.exp(decay, out=decay)
-    if not np.isfinite(u).all():
-        first_bad = int(np.argmin(np.isfinite(u)))
-        raise SimulationError(
-            f"integration overflowed to a non-finite state at step {first_bad}",
-            step_index=first_bad,
-        )
     return u
 
 
@@ -285,10 +283,7 @@ def _plan_window(
         raise SimulationError(
             f"at {frequency[k]:.6g} Hz one stimulus period needs {steps:.16g} RK4 steps, a "
             f"{2 * steps + 1:.16g}-sample drive; the per-point limit is "
-            f"{MAX_DRIVE_SAMPLES} samples (raise the lowest sweep frequency)",
-            step_index=0,
-            frequency=float(frequency[k]),
-        )
+            f"{MAX_DRIVE_SAMPLES} samples (raise the lowest sweep frequency)")
     return n.astype(np.int64)
 
 
@@ -319,14 +314,13 @@ def simulate_steady_state(
     cfg = cfg or SimConfig()
     n = int(_plan_window(dev, topo, frequency, cfg)[0])
     h = 1.0 / (frequency * n)
-
-    try:
-        drive = _sine_period(frequency, h / 2.0, 2 * n + 1)
-        amp_step = _stable_affine(-_loop_rate(dev, topo), h, frequency)
-        drive *= 1.0 / dev.tau0
-        u = _integrate_linear(amp_step, drive, h)
-    except SimulationError as err:
-        raise SimulationError(str(err), err.step_index, frequency=frequency) from None
+    step = _stable_affine(-_loop_rate(dev, topo), h, frequency)
+    u = _integrate_linear(step, _sine_period(frequency, h / 2.0, 2 * n + 1), h)
+    # the unit drive's orbit times the rounded 1/tau0, as run_sweep scales its
+    # gains: a drive scaled first can overflow where the response does not
+    with np.errstate(over="ignore"):  # refused below
+        u *= 1.0 / dev.tau0
+    _refuse_overflow(u, frequency)
     return TimeSeries(dt=h, samples=u)
 
 
@@ -381,15 +375,11 @@ def _noisy_gains(
     if not bad.size:
         return gains, None
     row, k = divmod(int(bad[0]), record.n_points)
-    frequency = float(record.frequency_hz[k])
     gain = gains[row, k]
     what = "non-positive" if gain <= 0.0 else "non-finite"
     return gains, (row, SimulationError(
         f"gain noise (sigma_rel {sigma_rel!r}) made the gain at "
-        f"{frequency:.6g} Hz {what} ({gain:.6g})",
-        step_index=0,
-        frequency=frequency,
-    ))
+        f"{record.frequency_hz[k]:.6g} Hz {what} ({gain:.6g})"))
 
 
 def add_gain_noise(
@@ -443,7 +433,9 @@ def run_sweep(
     freqs = plan.frequencies()
     with np.errstate(over="ignore"):  # f*n overflows only for a step refused as unstable
         h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg))
-    # times the rounded 1/tau0, as the trace's drive is: dividing by tau0
-    # instead moves the last bit of every gain
-    gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
+    # times the rounded 1/tau0, as the trace is: dividing by tau0 instead
+    # moves the last bit of every gain
+    with np.errstate(over="ignore"):  # refused below
+        gains = np.abs(_orbit_response(-_loop_rate(dev, topo), h, freqs)) * (1.0 / dev.tau0)
+    _refuse_overflow(gains, freqs)
     return SweepRecord(frequency_hz=freqs, gain=gains, topology=topo)

@@ -132,14 +132,13 @@ class TestSimulateSteadyState:
         assert simulated_gain(dev, topo, 1e3) == pytest.approx(oracle, rel=1e-3)
 
     def test_overflow_reports_step_index(self):
-        # without the time-constant refinement the step is 9.5x the loop tau:
-        # RK4 is unstable there and the state must blow up detectably
-        dev = DeviceParams(f0=1e8)
-        topo = Topology(feedback_r=100.0, gain_r=1.0)
-        cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
-        with pytest.raises(SimulationError) as excinfo:
-            simulate_steady_state(dev, topo, 1e4, cfg)
-        assert excinfo.value.step_index > 0
+        # a subnormal feedback ratio makes the closed-loop gain ~1e309 at
+        # 1 mHz: the unit drive's orbit is finite, its scaled trace is not
+        dev = DeviceParams(f0=2.8e307)
+        topo = Topology(feedback_r=1.7e308, gain_r=0.1)
+        with pytest.raises(SimulationError, match=r"^at 0\.001 Hz the steady-state "
+                                                  r"response overflows"):
+            simulate_steady_state(dev, topo, 1e-3)
 
     @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan])
     def test_rejects_a_frequency_that_is_not_positive(self, frequency):
@@ -219,10 +218,10 @@ class TestSimulateInvariants:
         cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         dev = DeviceParams(f0=1e8)
-        with pytest.raises(SimulationError, match="unstable") as excinfo:
+        with pytest.raises(SimulationError, match=r"^at 10000 Hz the RK4 step is unstable "
+                                                  r"\(growth factor [0-9.]+ >= 1 per step"):
             simulate_steady_state(dev, topo, 1e4, cfg)
-        assert excinfo.value.step_index > 0
-        assert excinfo.value.frequency == 1e4
+
 
 
 def legacy_sweep_gain(dev, topo, f):
@@ -344,9 +343,8 @@ class TestRunSweep:
         dev = DeviceParams(f0=1e8)
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         cfg = SimConfig(steps_per_period=64, steps_per_tau=0)
-        with pytest.raises(SimulationError) as excinfo:
+        with pytest.raises(SimulationError, match="^at 10000 Hz "):
             run_sweep(dev, topo, SweepPlan(1e4, 2e4, 3), cfg=cfg)
-        assert excinfo.value.frequency == pytest.approx(1e4)
 
 
 def noise_oracle(clean, sigma, seed_words):
@@ -392,9 +390,9 @@ class TestAddGainNoise:
         clean = run_sweep(self.DEV, self.TOPO, SweepPlan(1e4, 1e5, 16))
         noisy = noise_oracle(clean, 10.0, (0,))
         first = int(np.flatnonzero(noisy <= 0.0)[0])
-        with pytest.raises(SimulationError, match="non-positive") as excinfo:
+        with pytest.raises(SimulationError, match=f"at {clean.frequency_hz[first]:.6g} Hz "
+                                                  "non-positive"):
             add_gain_noise(clean, NoiseModel(10.0), 0)
-        assert excinfo.value.frequency == clean.frequency_hz[first]
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -442,7 +440,7 @@ class TestAddGainNoise:
         assert [b.size > 0 for b in bad] == [False, False, True, True]
         assert bad[2][0] > bad[3][0]
         _, (row, err) = _noisy_gains(clean, 0.5, seeds)
-        assert row == 2 and err.frequency == clean.frequency_hz[bad[2][0]]
+        assert row == 2 and f"at {clean.frequency_hz[bad[2][0]]:.6g} Hz non-positive" in str(err)
         with pytest.raises(SimulationError) as direct:
             add_gain_noise(clean, NoiseModel(0.5), seeds[2])
         assert str(err) == str(direct.value)
@@ -457,15 +455,14 @@ def trace_sweep(dev, topo, plan, cfg=None):
     return np.array(gains)
 
 
-def assert_same_sweep_error(dev, topo, plan, cfg=None):
-    """run_sweep refuses ``plan`` with the error of its first failing point."""
-    with pytest.raises(SimulationError) as expected:
+def assert_same_sweep_error(dev, topo, plan, cfg=None, match=None):
+    """run_sweep refuses ``plan`` with the error of its first failing point,
+    whose text matches ``match`` when given."""
+    with pytest.raises(SimulationError, match=match) as expected:
         trace_sweep(dev, topo, plan, cfg)
     with pytest.raises(SimulationError) as got:
         run_sweep(dev, topo, plan, cfg=cfg)
     assert str(got.value) == str(expected.value)
-    assert got.value.frequency == expected.value.frequency
-    assert got.value.step_index == expected.value.step_index
 
 
 def map_orbit_gains(dev, topo, plan):
@@ -499,7 +496,11 @@ SWEEP_PLANS = [
 
 
 class TestSweepMatchesTrace:
-    @pytest.mark.parametrize("f0, topo, plan", SWEEP_PLANS)
+    @pytest.mark.parametrize("f0, topo, plan", SWEEP_PLANS + [
+        # 1/tau0 ~ 6e307: a drive scaled before integrating would overflow
+        pytest.param(1e307, Topology(feedback_r=100.0, gain_r=1.0),
+                     SweepPlan(1e305, 3e305, 3), id="f0=1e307"),
+    ])
     def test_every_point_equals_the_trace_lockin(self, f0, topo, plan):
         dev = DeviceParams(f0=f0)
         record = run_sweep(dev, topo, plan)
@@ -557,7 +558,8 @@ class TestSweepMatchesTrace:
         record = run_sweep(dev, topo, plan, cfg=cfg)
         np.testing.assert_allclose(record.gain, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("failure", ["drive cap", "amplifier step"])
+    @pytest.mark.parametrize("failure", ["drive cap", "amplifier step", "too fine",
+                                         "overflow"])
     def test_error_parity(self, failure):
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 2e4, 3)
@@ -565,9 +567,21 @@ class TestSweepMatchesTrace:
             # 23 Hz needs just over MAX_DRIVE_SAMPLES on the default loop
             dev, cfg = DeviceParams(f0=97.73e6), None
             plan = SweepPlan(23.0, 1e5, 3)
-        else:
+            match = r"^at 23 Hz one stimulus period needs \d+ RK4 steps"
+        elif failure == "amplifier step":
             dev, cfg = DeviceParams(f0=1e8), SimConfig(64, 0)
-        assert_same_sweep_error(dev, topo, plan, cfg)
+            match = r"^at 10000 Hz the RK4 step is unstable \(growth factor"
+        elif failure == "too fine":
+            # a 4e-16 s step on a ~16 s loop time constant, not too coarse a
+            # one: 1 + (A - 1) rounds to 1
+            dev, cfg, plan = DeviceParams(f0=1.0), None, SweepPlan(1e13, 2e13, 3)
+            match = (r"^at 1e\+13 Hz the RK4 step \(3\.906e-16 s\) is too fine for the loop: "
+                     r"its growth factor rounds to 1$")
+        else:
+            dev, cfg, plan = DeviceParams(f0=2.8e307), None, SweepPlan(1e-3, 2e-3, 3)
+            topo = Topology(feedback_r=1.7e308, gain_r=0.1)
+            match = r"^at 0\.001 Hz the steady-state response overflows"
+        assert_same_sweep_error(dev, topo, plan, cfg, match)
 
     def test_sweep_cost_does_not_depend_on_steps(self, monkeypatch):
         # the largest plan completes without integrating or allocating a
