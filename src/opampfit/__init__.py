@@ -9,7 +9,6 @@ from .circuit import (
     DeviceParams,
     Topology,
     closed_loop_gain,
-    inverse_gain_squared,
     quick_f0_general,
 )
 from .distribution import (
@@ -34,7 +33,6 @@ from .fileio import (
     write_sweep_file,
 )
 from .simulate import (
-    NoiseModel,
     SimConfig,
     SimulationError,
     SweepPlan,
@@ -53,7 +51,6 @@ __all__ = [
     "CrossoverFrequencyFit",
     "DeviceParams",
     "FitError",
-    "NoiseModel",
     "ParseError",
     "QuickCrossoverFit",
     "RunConfig",
@@ -67,7 +64,6 @@ __all__ = [
     "analyze_batch",
     "closed_loop_gain",
     "fit_f0",
-    "inverse_gain_squared",
     "lockin_demodulate",
     "normal_reference_cdf",
     "quick_f0_general",

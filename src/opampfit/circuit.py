@@ -115,16 +115,6 @@ def closed_loop_gain(dev: DeviceParams, topo: Topology, f: float) -> complex:
     return 1.0 / complex(topo.beta + dev.inv_g0, TWO_PI * f * dev.tau0)
 
 
-def inverse_gain_squared(dev: DeviceParams, topo: Topology, f: float) -> float:
-    """Reciprocal gain power in the infinite-``g0`` straight-line form,
-    ``beta^2 + (f/f0)^2``, whose intercept is the ideal ``1/(R/r + 1)^2``.
-    The finite-``g0`` value is ``abs(closed_loop_gain(...))**-2``."""
-    if f < 0.0:
-        raise ValueError(f"frequency must be >= 0, got {f!r}")
-    x = f / dev.f0
-    return topo.beta * topo.beta + x * x
-
-
 def quick_f0_general(dc_gain: float, n: float, f_fraction: float) -> float:
     """Crossover frequency from the point where the gain drops n-fold.
 

@@ -71,13 +71,17 @@ def _fail(code: int, message: str):
 
 def _run_config(config_path, overrides: dict) -> RunConfig:
     """The ``--config`` file's configuration (or the defaults) with every
-    given flag laid over it; named by their ``RunConfig`` fields."""
+    given flag laid over it; named by their ``RunConfig`` fields.  A bad
+    file exits 3; flags that make it bad are a usage error, exit 2."""
     try:
         cfg = RunConfig() if config_path is None else RunConfig.from_file(config_path)
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ValueError as err:
         _fail(EXIT_PARSE, str(err))
-    return cfg
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    try:
+        return replace(cfg, **flags) if flags else cfg
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
 
 
 def _provenance(command: str, cfg: RunConfig, **extra) -> list[str]:
@@ -107,6 +111,13 @@ def _topology_flags(big_r, small_r) -> Topology | None:
         raise click.BadParameter(str(err), param_hint="'--R' / '--r'") from None
 
 
+# every command that takes a feedback network takes it from these two options
+_FEEDBACK_R = click.option("--R", "feedback_r_ohm", type=float, default=None,
+                           help="Feedback resistance in ohms.")
+_GAIN_R = click.option("--r", "gain_r_ohm", type=float, default=None,
+                       help="Gain resistance in ohms.")
+
+
 def _config_options(command):
     options = [
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -123,10 +134,7 @@ def _config_options(command):
                      help="Highest sweep frequency in Hz."),
         click.option("--spacing", type=click.Choice(["linear", "log"]), default=None,
                      help="Sweep point spacing."),
-        click.option("--R", "feedback_r_ohm", type=float, default=None,
-                     help="Feedback resistance in ohms."),
-        click.option("--r", "gain_r_ohm", type=float, default=None,
-                     help="Gain resistance in ohms."),
+        _FEEDBACK_R, _GAIN_R,
     ]
     for option in reversed(options):
         command = option(command)
@@ -158,10 +166,8 @@ def main():
 def synth(output, config_path, **overrides):
     """Simulate a frequency sweep and write it as a sweep CSV."""
     cfg = _run_config(config_path, overrides)
-    record = add_gain_noise(
-        run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config()),
-        cfg.noise(), cfg.seed,
-    )
+    record = add_gain_noise(run_sweep(cfg.device, cfg.topology, cfg.plan, cfg=cfg.sim),
+                            cfg.sigma_rel, cfg.seed)
     write_sweep_file(output, record, _provenance("synth", cfg))
     _echo(f"wrote {output}: {record.n_points} points, seed = {cfg.seed}, "
           f"truth f0 = {cfg.f0_hz!r} Hz")
@@ -191,14 +197,14 @@ def _write_plot_data(directory, header: str, files: dict) -> None:
 
 @main.command()
 @click.argument("sweep_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--R", "big_r", type=float, default=None, help="Feedback resistance in ohms.")
-@click.option("--r", "small_r", type=float, default=None, help="Gain resistance in ohms.")
+@_FEEDBACK_R
+@_GAIN_R
 @click.option("--weighted", is_flag=True, help="Weight the fit for constant relative noise.")
 @click.option("--plot-data", "plot_dir", type=click.Path(file_okay=False), default=None,
               help="Directory for transformed-points and fitted-line CSVs.")
-def fit(sweep_path, big_r, small_r, weighted, plot_dir):
+def fit(sweep_path, feedback_r_ohm, gain_r_ohm, weighted, plot_dir):
     """Fit the crossover frequency of a sweep file by linear regression."""
-    topology = _topology_flags(big_r, small_r)
+    topology = _topology_flags(feedback_r_ohm, gain_r_ohm)
     record, _ = read_sweep_file(sweep_path)
     if topology is not None:
         record = replace(record, topology=topology)
@@ -226,15 +232,15 @@ def fit(sweep_path, big_r, small_r, weighted, plot_dir):
 @click.argument("sweep_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ratio", type=float, default=2.0, show_default=True,
               help="Gain-drop ratio locating f_(1/n); must exceed 1.")
-@click.option("--R", "big_r", type=float, default=None, help="Feedback resistance in ohms.")
-@click.option("--r", "small_r", type=float, default=None, help="Gain resistance in ohms.")
+@_FEEDBACK_R
+@_GAIN_R
 @click.option("--baseline", type=click.Choice(["first", "low_decile"]), default="first",
               show_default=True, help="How the flat-region gain y0 is taken.")
-def quick(sweep_path, ratio, big_r, small_r, baseline):
+def quick(sweep_path, ratio, feedback_r_ohm, gain_r_ohm, baseline):
     """Quick crossover frequency from the n-fold gain-drop point."""
     if not ratio > 1.0:
         raise click.BadParameter("must exceed 1", param_hint="--n")
-    topology = _topology_flags(big_r, small_r)
+    topology = _topology_flags(feedback_r_ohm, gain_r_ohm)
     record, _ = read_sweep_file(sweep_path)
     est = QuickCrossoverFit(n=ratio, topology=topology, baseline=baseline)
     est.fit(record.frequency_hz, record.gain)
@@ -296,7 +302,7 @@ def mc(output, trials, corr_threshold, config_path, **overrides):
     if not -1.0 <= corr_threshold <= 1.0:  # NaN too: a correlation lies in [-1, 1]
         raise click.BadParameter("must lie in [-1, 1]", param_hint="--corr-threshold")
     cfg = _run_config(config_path, overrides)
-    clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config())
+    clean = run_sweep(cfg.device, cfg.topology, cfg.plan, cfg=cfg.sim)
     f0_values = np.empty(trials)
     corr_pass = 0
     block = max(1, _MC_BLOCK_GAINS // clean.n_points)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import DeviceParams, Topology
 from .extraction import SweepRecord
-from .simulate import NoiseModel, SimConfig, SweepPlan
+from .simulate import SimConfig, SweepPlan, _checked_sigma_rel
 
 SWEEP_HEADER_GAIN = "frequency_hz,gain"
 SWEEP_HEADER_PAIR = "frequency_hz,u_in_v,u_out_v"
@@ -335,7 +335,9 @@ def _config_value(name: str, annotation: str, value, allow_inf: bool):
 class RunConfig:
     """Flat run configuration: device, topology, sweep plan, noise, and
     integrator settings.  Defaults describe a gain-101 amplifier around a
-    97.73 MHz ideal device swept noiselessly over 10-100 kHz."""
+    97.73 MHz ideal device swept noiselessly over 10-100 kHz.  The run's
+    parts are built from these fields once, and kept: ``device``,
+    ``topology``, ``plan`` and ``sim``."""
 
     f0_hz: float = 97.73e6
     g0: float = math.inf
@@ -349,13 +351,17 @@ class RunConfig:
     steps_per_period: int = 256
     steps_per_tau: int = 16
     seed: int = 0
+    device: DeviceParams = field(init=False, repr=False)
+    topology: Topology = field(init=False, repr=False)
+    plan: SweepPlan = field(init=False, repr=False)
+    sim: SimConfig = field(init=False, repr=False)
 
     # the fields that accept infinity, spelled null, "inf" or "infinity"
     _INFINITE_FIELDS = ("g0", "gain_r_ohm")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        annotations = {f.name: f.type for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls) if f.init}
         values = {}
         for key, value in data.items():
             if key not in annotations:
@@ -382,39 +388,19 @@ class RunConfig:
         return cls.from_mapping(data)
 
     def __post_init__(self):
-        """Check the configuration by building every underlying type;
+        """Build the run's parts, checking each, in the order below;
         ValueError with the offending part spelled out."""
-        for build, label in (
-            (self.device, "device"),
-            (self.topology, "topology"),
-            (self.sweep_plan, "sweep plan"),
-            (self.sim_config, "simulation"),
-            (self.noise, "noise"),
+        for name, label, build, args in (
+            ("device", "device", DeviceParams, (self.f0_hz, self.g0)),
+            ("topology", "topology", Topology, (self.feedback_r_ohm, self.gain_r_ohm)),
+            ("plan", "sweep plan", SweepPlan,
+             (self.f_min_hz, self.f_max_hz, self.n_points, self.spacing)),
+            ("sim", "simulation", SimConfig, (self.steps_per_period, self.steps_per_tau)),
+            ("sigma_rel", "noise", _checked_sigma_rel, (self.sigma_rel,)),
         ):
             try:
-                build()
+                object.__setattr__(self, name, build(*args))
             except ValueError as err:
                 raise ValueError(f"invalid {label} configuration: {err}") from None
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"invalid seed: must be a non-negative integer, got {self.seed!r}")
-
-    def device(self) -> DeviceParams:
-        return DeviceParams(f0=self.f0_hz, g0=self.g0)
-
-    def topology(self) -> Topology:
-        return Topology(feedback_r=self.feedback_r_ohm, gain_r=self.gain_r_ohm)
-
-    def sweep_plan(self) -> SweepPlan:
-        return SweepPlan(
-            f_min=self.f_min_hz, f_max=self.f_max_hz,
-            n_points=self.n_points, spacing=self.spacing,
-        )
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            steps_per_period=self.steps_per_period,
-            steps_per_tau=self.steps_per_tau,
-        )
-
-    def noise(self) -> NoiseModel:
-        return NoiseModel(sigma_rel=self.sigma_rel)

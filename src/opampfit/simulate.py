@@ -137,21 +137,6 @@ class SweepPlan:
             return np.linspace(self.f_min, self.f_max, self.n_points)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Multiplicative gain noise: each recorded gain is scaled by ``1 + eps``
-    with ``eps ~ Normal(0, sigma_rel)``.  Gaussian is the maximum-entropy
-    choice given only a spread; the default is noiseless, and
-    ``sigma_rel = 0.03`` emulates oscilloscope-grade 3 percent amplitude
-    fluctuations."""
-
-    sigma_rel: float = 0.0
-
-    def __post_init__(self):
-        if not (self.sigma_rel >= 0.0 and math.isfinite(self.sigma_rel)):
-            raise ValueError(f"sigma_rel must be finite and >= 0, got {self.sigma_rel!r}")
-
-
 def _rk4_affine(a: float, h):
     """Homogeneous factor less one, ``A - 1``, and forcing weights of one RK4
     step applied to ``u' = a*u + g(t)``:
@@ -246,7 +231,10 @@ def _orbit_response(a: float, h: np.ndarray, frequency: np.ndarray) -> np.ndarra
     # exp(j*w*h) - A, written as (exp(j*w*h) - 1) - (A - 1) so that neither
     # a fine step nor a slow loop cancels its leading digits
     pole = 2j * np.sin(half_phase) * half - a_m1
-    return (h / 6.0) * (c1 + c2 * half + c3 * half * half) / pole
+    # a step below 2**-1000 is scaled by 2**54 while the ratio is formed: h/6
+    # would lose digits in the subnormal range, and the scaling is exact
+    scale = np.where(h < 2.0**-1000, 2.0**54, 1.0)
+    return (h * scale / 6.0) * (c1 + c2 * half + c3 * half * half) / pole / scale
 
 
 def _loop_rate(dev: DeviceParams, topo: Topology) -> float:
@@ -382,28 +370,38 @@ def _noisy_gains(
         f"{record.frequency_hz[k]:.6g} Hz {what} ({gain:.6g})"))
 
 
+def _checked_sigma_rel(sigma_rel: float) -> float:
+    """``sigma_rel``, or ValueError if it is not a finite non-negative spread."""
+    if not (sigma_rel >= 0.0 and math.isfinite(sigma_rel)):
+        raise ValueError(f"sigma_rel must be finite and >= 0, got {sigma_rel!r}")
+    return sigma_rel
+
+
 def add_gain_noise(
     record: SweepRecord,
-    noise: NoiseModel,
+    sigma_rel: float,
     seed: int | tuple[int, ...] = 0,
 ) -> SweepRecord:
     """Scale each gain of ``record`` by ``1 + eps`` with
-    ``eps ~ Normal(0, sigma_rel)``.
+    ``eps ~ Normal(0, sigma_rel)``: Gaussian is the maximum-entropy choice
+    given only a spread, and ``sigma_rel = 0.03`` emulates
+    oscilloscope-grade 3 percent amplitude fluctuations.
 
     The whole record draws from one generator seeded with ``seed`` (the
     words of a tuple seed): point ``k`` takes the ``k``-th value of
     ``default_rng([*seed]).standard_normal(n_points)``.  The result is
     reproducible bit-for-bit, does not depend on the order in which records
     are drawn, and is prefix-stable: the first ``m`` points of an
-    ``n``-point record draw what an ``m``-point record draws.  A noiseless
-    model returns ``record`` itself.  A draw that leaves a gain
-    non-positive or overflows it (possible only for a large ``sigma_rel``)
-    raises :class:`SimulationError` naming its frequency.
+    ``n``-point record draw what an ``m``-point record draws.  A zero
+    ``sigma_rel`` returns ``record`` itself, and a negative or non-finite
+    one raises ValueError.  A draw that leaves a gain non-positive or
+    overflows it (possible only for a large ``sigma_rel``) raises
+    :class:`SimulationError` naming its frequency.
     """
-    if noise.sigma_rel == 0.0:
+    if _checked_sigma_rel(sigma_rel) == 0.0:
         return record
     seed_words = (seed,) if isinstance(seed, int) else tuple(seed)
-    gains, refusal = _noisy_gains(record, noise.sigma_rel, [seed_words])
+    gains, refusal = _noisy_gains(record, sigma_rel, [seed_words])
     if refusal is not None:
         raise refusal[1]
     return replace(record, gain=gains[0])

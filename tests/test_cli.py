@@ -21,7 +21,6 @@ from opampfit import (
     CalibrationWarning,
     DeviceParams,
     FitError,
-    NoiseModel,
     RunConfig,
     SimulationError,
     SweepPlan,
@@ -100,7 +99,7 @@ class TestSynth:
 
     def test_too_few_points_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["synth", str(tmp_path / "s.csv"), "--points", "2"])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert "n_points" in result.stderr
 
     def test_config_file_drives_synthesis(self, runner, tmp_path):
@@ -437,7 +436,7 @@ class TestMc:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 1e5, 16)
         oracle = [
-            fit_f0(add_gain_noise(run_sweep(dev, topo, plan), NoiseModel(1e-4), (4, trial))).f0_hz_
+            fit_f0(add_gain_noise(run_sweep(dev, topo, plan), 1e-4, (4, trial))).f0_hz_
             for trial in range(3)
         ]
         ids, values, _ = read_batch_file(out)
@@ -516,7 +515,7 @@ class TestMc:
         assert points == "65537"
         for command in ("mc", "synth"):
             result = runner.invoke(main, [command, str(out), "--points", points])
-            assert result.exit_code == 3
+            assert result.exit_code == 2
             assert "n_points" in result.stderr and points in result.stderr
         assert not out.exists()
 
@@ -571,7 +570,7 @@ def per_trial_mc(output, trials, cfg, corr_threshold):
     fitted with ``fit_f0``, its calibration warnings echoed: returns the exit
     code, stdout and stderr, and writes the batch file on success."""
     try:
-        clean = run_sweep(cfg.device(), cfg.topology(), cfg.sweep_plan(), cfg=cfg.sim_config())
+        clean = run_sweep(cfg.device, cfg.topology, cfg.plan, cfg=cfg.sim)
     except SimulationError as err:
         return 4, "", f"error: {err}\n"
     stderr, values, corr_pass = [], [], 0
@@ -579,7 +578,7 @@ def per_trial_mc(output, trials, cfg, corr_threshold):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", CalibrationWarning)
             try:
-                result = fit_f0(add_gain_noise(clean, cfg.noise(), (cfg.seed, trial)))
+                result = fit_f0(add_gain_noise(clean, cfg.sigma_rel, (cfg.seed, trial)))
             except (SimulationError, FitError) as err:
                 stderr.append(f"error: trial {trial}: {err}")
                 return 4, "", "".join(line + "\n" for line in stderr)
@@ -695,7 +694,51 @@ def test_in_process_runs_release_their_output_streams(tmp_path, monkeypatch, arg
     assert [ref() for ref in streams] == [None, None]
 
 
+@pytest.mark.parametrize("argv,builds", [
+    # the --config file builds the run's parts once, and no flag rebuilds them
+    (["synth", "out.csv", "--config", "run.json"], 1),
+    # the defaults build them once, and the flags laid over them once more
+    (["mc", "out.csv", "--points", "8", "--trials", "2"], 2),
+])
+def test_run_parts_are_built_once_per_configuration(runner, tmp_path, monkeypatch, argv,
+                                                    builds):
+    built = []
+    check = SweepPlan.__post_init__
+
+    def counted(plan):
+        built.append(plan)
+        check(plan)
+
+    monkeypatch.setattr(SweepPlan, "__post_init__", counted)
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text('{"n_points": 8}', encoding="utf-8")
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert len(built) == builds
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("flags,fields", [
+        (["--R", "-1"], {"feedback_r_ohm": -1.0}),
+        (["--r", "0"], {"gain_r_ohm": 0.0}),
+        (["--points", "2"], {"n_points": 2}),
+        (["--noise", "-1"], {"sigma_rel": -1.0}),
+        (["--fmin", "inf"], {"f_min_hz": math.inf}),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    @pytest.mark.parametrize("command", ["synth", "mc"])
+    def test_a_bad_flag_is_a_usage_error_and_a_bad_field_a_parse_error(
+            self, runner, tmp_path, command, flags, fields):
+        out, config = tmp_path / "out.csv", tmp_path / "run.json"
+        config.write_text(json.dumps(fields), encoding="utf-8")
+        by_flag = runner.invoke(main, [command, str(out), *flags])
+        by_field = runner.invoke(main, [command, str(out), "--config", str(config)])
+        assert_clean_failure(by_flag, 2)
+        assert_clean_failure(by_field, 3)
+        # the same text, as click's usage error and as the parse error line
+        (message,) = by_field.stderr.splitlines()
+        assert by_flag.stderr.splitlines()[-1] == "Error: " + message.removeprefix("error: ")
+        assert not out.exists()
+
     def test_usage_parse_and_numeric_codes_are_distinct(self, runner, tmp_path):
         usage = runner.invoke(main, ["quick"])  # missing argument
         assert usage.exit_code == 2
@@ -721,6 +764,8 @@ PROBE_FILES = {
     "huge_batch.csv": b"sample_id,f0_hz\na,1e308\nb,1.7e308\nc,1e308\n",
     "b3.csv": b"sample_id,f0_hz\na,9.7e7\nb,9.8e7\nc,9.6e7\n",
     "tiny_f0.json": b'{"f0_hz": 1e-320}',
+    "inf_fmax.json": b'{"f_max_hz": Infinity}',
+    "huge_r.json": b'{"feedback_r_ohm": 1e308, "gain_r_ohm": 1e308}',
     "small_gain.csv": b"frequency_hz,gain\n1e4,3e-100\n2e4,2e-100\n3e4,1e-100\n",
     "large_gain.csv": b"frequency_hz,gain\n1e4,3e100\n2e4,2e100\n3e4,1e100\n",
     "large_freq.csv": b"frequency_hz,gain\n1e150,3\n2e150,2\n3e150,1\n",
@@ -740,7 +785,10 @@ PROBES = [
     (["fit", "sweep.csv", "--R", "-5", "--r", "1"], 2),
     (["fit", "sweep.csv", "--R", "100", "--r", "0"], 2),
     (["quick", "sweep.csv", "--R", "-5", "--r", "1"], 2),
-    (["synth", "out.csv", "--fmax", "inf"], 3),
+    # a flag that makes the run's configuration bad is a usage error, and
+    # the same value in the --config file a parse error
+    (["synth", "out.csv", "--fmax", "inf"], 2),
+    (["synth", "out.csv", "--config", "inf_fmax.json"], 3),
     (["synth", "out.csv", "--noise", "1e308"], 4),
     (["mc", "out.csv", "--noise", "1e308"], 4),
     (["synth", "out.csv", "--points", "3", "--fmin", "1e-320", "--fmax", "1e-319"], 4),
@@ -757,7 +805,8 @@ PROBES = [
     (["fit", "sweep.csv", "--plot-data", "sweep.csv/sub"], 3),
     (["batch", "b3.csv", "--plot-data", "b3.csv/sub"], 3),
     # found by the generated-call property below
-    (["synth", "out.csv", "--R", "1e308", "--r", "1e308"], 3),
+    (["synth", "out.csv", "--R", "1e308", "--r", "1e308"], 2),
+    (["synth", "out.csv", "--config", "huge_r.json"], 3),
     (["synth", "out.csv", "--config", "tiny_f0.json"], 3),
     (["synth", "out.csv", "--fmin", "1e-320", "--r", "1e-320"], 4),
     (["synth", "out.csv", "--fmax", "1.7976931348623157e308"], 4),

@@ -573,10 +573,10 @@ def test_batch_round_trip_is_byte_exact(tmp_path, ids, values, comments):
 class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
-        assert cfg.device().f0 == 97.73e6
-        assert math.isinf(cfg.device().g0)
-        assert cfg.topology().beta == pytest.approx(1.0 / 101.0, rel=1e-15)
-        assert cfg.sweep_plan().n_points == 512
+        assert cfg.device.f0 == 97.73e6
+        assert math.isinf(cfg.device.g0)
+        assert cfg.topology.beta == pytest.approx(1.0 / 101.0, rel=1e-15)
+        assert cfg.plan.n_points == 512
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.json"
@@ -595,9 +595,9 @@ class TestRunConfig:
             encoding="utf-8",
         )
         cfg = RunConfig.from_file(path)
-        assert cfg.device().f0 == 39.6e6
-        assert math.isinf(cfg.device().g0)
-        assert cfg.noise().sigma_rel == 0.01
+        assert cfg.device.f0 == 39.6e6
+        assert math.isinf(cfg.device.g0)
+        assert cfg.sigma_rel == 0.01
         assert cfg.seed == 9
 
     def test_unknown_field_named(self):

@@ -67,7 +67,7 @@ def test_config_block_names_every_field():
     (block,) = fenced_blocks("json")
     data = json.loads(block)
     RunConfig.from_mapping(data)
-    assert set(data) == {f.name for f in fields(RunConfig)}
+    assert set(data) == {f.name for f in fields(RunConfig) if f.init}
 
 
 def stated_power_of_two(pattern):
