@@ -57,7 +57,7 @@ class DeviceParams:
     @property
     def inv_g0(self) -> float:
         """1/g0, exactly 0.0 in the ideal-device limit."""
-        return 0.0 if math.isinf(self.g0) else 1.0 / self.g0
+        return 1.0 / self.g0
 
 
 @dataclass(frozen=True)
@@ -86,21 +86,15 @@ class Topology:
             raise ValueError(f"feedback ratio of {self!r} is not positive ({self.beta!r})")
 
     @property
-    def is_repeater(self) -> bool:
-        return self.feedback_r == 0.0 or math.isinf(self.gain_r)
-
-    @property
     def beta(self) -> float:
         """Feedback fraction gain_r/(feedback_r + gain_r); 1 for a repeater."""
-        if self.is_repeater:
+        if math.isinf(self.gain_r):  # the ratio would be inf/inf
             return 1.0
         return self.gain_r / (self.feedback_r + self.gain_r)
 
     @property
     def ideal_dc_gain(self) -> float:
-        """Ideal closed-loop DC gain 1/beta = feedback_r/gain_r + 1."""
-        if self.is_repeater:
-            return 1.0
+        """Ideal closed-loop DC gain 1/beta = feedback_r/gain_r + 1; 1 for a repeater."""
         return self.feedback_r / self.gain_r + 1.0
 
 

@@ -234,15 +234,13 @@ def fit(sweep_path, feedback_r_ohm, gain_r_ohm, weighted, plot_dir):
               help="Gain-drop ratio locating f_(1/n); must exceed 1.")
 @_FEEDBACK_R
 @_GAIN_R
-@click.option("--baseline", type=click.Choice(["first", "low_decile"]), default="first",
-              show_default=True, help="How the flat-region gain y0 is taken.")
-def quick(sweep_path, ratio, feedback_r_ohm, gain_r_ohm, baseline):
+def quick(sweep_path, ratio, feedback_r_ohm, gain_r_ohm):
     """Quick crossover frequency from the n-fold gain-drop point."""
     if not ratio > 1.0:
         raise click.BadParameter("must exceed 1", param_hint="--n")
     topology = _topology_flags(feedback_r_ohm, gain_r_ohm)
     record, _ = read_sweep_file(sweep_path)
-    est = QuickCrossoverFit(n=ratio, topology=topology, baseline=baseline)
+    est = QuickCrossoverFit(n=ratio, topology=topology)
     est.fit(record.frequency_hz, record.gain)
     _echo(f"f0_hz = {est.f0_hz_:.6g}")
     _echo(f"f0_mhz = {est.f0_hz_ / 1e6:.6g}")

@@ -39,8 +39,8 @@ def as_float_array(values, name: str, min_len: int = 1) -> np.ndarray:
 
 
 def _sweep_arrays(frequency_hz, gain) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and gains of a sweep as 1-D arrays of finite floats of
-    equal length, at least 3 points, all positive; ValueError otherwise."""
+    """A sweep's frequencies and gains as 1-D arrays of equal length: at least 3
+    finite, positive points, frequencies strictly increasing; else ValueError."""
     f = as_float_array(frequency_hz, "frequency_hz", min_len=3)
     y = as_float_array(gain, "gain", min_len=3)
     if f.size != y.size:
@@ -49,6 +49,8 @@ def _sweep_arrays(frequency_hz, gain) -> tuple[np.ndarray, np.ndarray]:
         )
     if np.any(f <= 0.0) or np.any(y <= 0.0):
         raise ValueError("frequencies and gains must be positive")
+    if np.any(np.diff(f) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing")
     return f, y
 
 
@@ -199,8 +201,6 @@ class SweepRecord:
 
     def __post_init__(self):
         f, y = _sweep_arrays(self.frequency_hz, self.gain)
-        if np.any(np.diff(f) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
         f, y = f.copy(), y.copy()
         f.setflags(write=False)
         y.setflags(write=False)
@@ -280,46 +280,35 @@ def fit_f0(record: SweepRecord, weighted: bool = False) -> CrossoverFrequencyFit
 class QuickCrossoverFit:
     """Regression-free crossover-frequency estimator.
 
-    Takes the low-frequency gain ``y0`` from the sweep (first point by
-    default, or the mean of the lowest decile with ``baseline="low_decile"``),
-    locates the frequency ``f_fraction`` where the gain crosses ``y0/n`` by
-    linear interpolation in the (f^2, 1/gain^2) plane - where the model is
-    exactly linear - and passes it to :func:`~opampfit.circuit.quick_f0_general`
+    Takes the low-frequency gain ``y0`` at the sweep's first point, locates
+    the frequency ``f_fraction`` where the gain crosses ``y0/n`` by linear
+    interpolation in the (f^2, 1/gain^2) plane - where the model is exactly
+    linear - and passes it to :func:`~opampfit.circuit.quick_f0_general`
     with the topology's ideal DC gain (1 for a repeater), or without a
     topology the measured ``y0``.
     """
 
-    def __init__(self, n: float = 2.0, topology: Topology | None = None,
-                 baseline: str = "first"):
+    def __init__(self, n: float = 2.0, topology: Topology | None = None):
         self.n = n
         self.topology = topology
-        self.baseline = baseline
 
     def fit(self, frequency_hz, gain) -> "QuickCrossoverFit":
         if not self.n > 1.0:
             raise ValueError(f"gain ratio n must exceed 1, got {self.n!r}")
-        if self.baseline not in ("first", "low_decile"):
-            raise ValueError(f"baseline must be 'first' or 'low_decile', got {self.baseline!r}")
         f, y = _sweep_arrays(frequency_hz, gain)
         u, v, in_range = _roll_off_plane(f, y)
         if not in_range:
             raise FitError(_OUT_OF_RANGE)
 
-        if self.baseline == "first":
-            y0 = float(y[0])
-        else:
-            head = max(1, math.ceil(f.size / 10))
-            y0 = float(y[:head].mean())
-
+        y0 = float(y[0])
         try:
             v_target = (self.n / y0) ** 2
         except OverflowError:  # beyond every finite 1/gain^2: the sweep is too narrow
             v_target = math.inf
+        # hi = 0 would make lo = -1 read the last point
         if v[0] >= v_target:
-            raise FitError(
-                "first sweep point is not in the flat region: "
-                f"gain has already dropped {self.n:g}-fold at the lowest frequency"
-            )
+            raise FitError(f"gain ratio n = {self.n!r} is too close to 1 for the first "
+                           f"gain {y0:.6g}: its n-fold drop rounds to no drop")
         above = np.nonzero(v >= v_target)[0]
         if above.size == 0:
             raise FitError(f"sweep range too narrow for n = {self.n:g} "

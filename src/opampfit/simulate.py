@@ -6,7 +6,7 @@ The output voltage of the feedback loop obeys the first-order equation
 
 which is integrated with classical fixed-step 4th-order Runge-Kutta.  For
 this linear equation one RK4 step is exactly the affine map
-``u[k+1] = A*u[k] + (h/6)*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1})`` with a
+``u[k+1] = A*u[k] + (h/6)*(c1*g_k + c2*g_{k+1/2} + g_{k+1})`` with a
 constant homogeneous factor ``A`` and three stimulus samples per step.
 Every planned step must be stable, ``A < 1``, and not so fine that ``A``
 rounds to 1; both are checked before anything is computed.
@@ -29,7 +29,7 @@ period) reads an amplitude off such a trace.
 form: driven by a sampled sinusoid ``g = Im(G*exp(j*w*t))``, its periodic
 orbit is exactly ``u_k = Im(U*exp(j*w*k*h))`` with
 
-    U = G * (h/6)*(c1 + c2*exp(j*w*h/2) + c3*exp(j*w*h)) / (exp(j*w*h) - A)
+    U = G * (h/6)*(c1 + c2*exp(j*w*h/2) + exp(j*w*h)) / (exp(j*w*h) - A)
 
 and the whole-period lock-in of that orbit returns ``|U|`` to rounding.  A
 sweep therefore costs a few array operations per point, whatever its step
@@ -140,15 +140,14 @@ class SweepPlan:
 def _rk4_affine(a: float, h):
     """Homogeneous factor less one, ``A - 1``, and forcing weights of one RK4
     step applied to ``u' = a*u + g(t)``:
-    u[k+1] = A*u[k] + h/6*(c1*g_k + c2*g_{k+1/2} + c3*g_{k+1}),
+    u[k+1] = A*u[k] + h/6*(c1*g_k + c2*g_{k+1/2} + g_{k+1}),
     elementwise for an array of steps ``h``.  ``A - 1`` is kept apart from
     the 1 so a small step keeps its digits."""
     z = a * h
     a_m1 = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
     c1 = 1.0 + z * (1.0 + z * (0.5 + z / 4.0))
     c2 = 4.0 + z * (2.0 + z * 0.5)
-    c3 = 1.0
-    return a_m1, c1, c2, c3
+    return a_m1, c1, c2
 
 
 def _stable_affine(a: float, h, frequency):
@@ -164,6 +163,10 @@ def _stable_affine(a: float, h, frequency):
     if unstable.size:
         k = unstable[0]
         f, h_k = np.ravel(frequency)[k], np.ravel(h)[k]
+        # h = 1/(f*N) is 0 only where f*N overflowed
+        if h_k == 0.0:
+            raise SimulationError(f"at {f:.6g} Hz the RK4 step is 0 s: the steps per period "
+                                  "times the frequency leave the floating-point range")
         # A rounds to 1 only on a step far finer than the loop's time constant
         if big_a[k] == 1.0:
             raise SimulationError(f"at {f:.6g} Hz the RK4 step ({h_k:.3e} s) is too fine "
@@ -202,12 +205,12 @@ def _integrate_linear(step, forcing_half_grid: np.ndarray, h: float) -> np.ndarr
     state equals the first.  The recurrence runs once from rest and is then
     shifted onto the orbit by adding ``u0 * A**k``.
     """
-    a_m1, c1, c2, c3 = step
+    a_m1, c1, c2 = step
     big_a = 1.0 + a_m1
     b = (h / 6.0) * (
         c1 * forcing_half_grid[0:-1:2]
         + c2 * forcing_half_grid[1::2]
-        + c3 * forcing_half_grid[2::2]
+        + forcing_half_grid[2::2]
     )
     n_steps = b.size
     u = np.empty(n_steps + 1)
@@ -225,7 +228,7 @@ def _orbit_response(a: float, h: np.ndarray, frequency: np.ndarray) -> np.ndarra
     ``u_k = Im(U*exp(j*w*k*h))``, to a sinusoidal drive
     ``g = Im(G*exp(j*w*t))`` sampled on the half-step grid, at each
     ``frequency`` with its step ``h``."""
-    a_m1, c1, c2, c3 = _stable_affine(a, h, frequency)
+    a_m1, c1, c2 = _stable_affine(a, h, frequency)
     half_phase = np.pi * frequency * h
     half = np.exp(1j * half_phase)
     # exp(j*w*h) - A, written as (exp(j*w*h) - 1) - (A - 1) so that neither
@@ -234,7 +237,7 @@ def _orbit_response(a: float, h: np.ndarray, frequency: np.ndarray) -> np.ndarra
     # a step below 2**-1000 is scaled by 2**54 while the ratio is formed: h/6
     # would lose digits in the subnormal range, and the scaling is exact
     scale = np.where(h < 2.0**-1000, 2.0**54, 1.0)
-    return (h * scale / 6.0) * (c1 + c2 * half + c3 * half * half) / pole / scale
+    return (h * scale / 6.0) * (c1 + c2 * half + half * half) / pole / scale
 
 
 def _loop_rate(dev: DeviceParams, topo: Topology) -> float:
@@ -429,7 +432,7 @@ def run_sweep(
     cfg = cfg or SimConfig()
 
     freqs = plan.frequencies()
-    with np.errstate(over="ignore"):  # f*n overflows only for a step refused as unstable
+    with np.errstate(over="ignore"):  # f*n overflows only for a step refused as 0 s
         h = 1.0 / (freqs * _plan_window(dev, topo, freqs, cfg))
     # times the rounded 1/tau0, as the trace is: dividing by tau0 instead
     # moves the last bit of every gain

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from opampfit import (
@@ -88,14 +90,26 @@ class TestTopology:
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         assert topo.beta == pytest.approx(1.0 / 101.0, rel=1e-15)
         assert topo.ideal_dc_gain == 101.0
-        assert not topo.is_repeater
 
     def test_repeater_normalization(self):
         # both encodings collapse to beta = 1
         assert Topology(feedback_r=0.0, gain_r=50.0).beta == 1.0
         assert Topology(feedback_r=100.0, gain_r=math.inf).beta == 1.0
         rep = Topology(feedback_r=0.0, gain_r=math.inf)
-        assert rep.is_repeater and rep.beta == 1.0 and rep.ideal_dc_gain == 1.0
+        assert rep.beta == 1.0 and rep.ideal_dc_gain == 1.0
+
+    @given(feedback_r=st.floats(0.0, allow_infinity=False),
+           gain_r=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           f0=st.floats(1e-300, 1e300))
+    def test_repeater_and_ideal_device_are_the_general_formulas(self, feedback_r, gain_r, f0):
+        # the general expressions give the limits exactly, with no special case:
+        # gain_r/(0 + gain_r), 0/gain_r + 1, feedback_r/inf + 1 and 1/inf
+        grounded = Topology(feedback_r=0.0, gain_r=gain_r)
+        assert grounded.beta == 1.0 and grounded.ideal_dc_gain == 1.0
+        open_gain_r = Topology(feedback_r=feedback_r, gain_r=math.inf)
+        assert open_gain_r.beta == 1.0 and open_gain_r.ideal_dc_gain == 1.0
+        inv_g0 = DeviceParams(f0=f0).inv_g0
+        assert inv_g0 == 0.0 and math.copysign(1.0, inv_g0) == 1.0
 
     def test_beta_in_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -946,7 +946,6 @@ def cli_call(draw):
     if command == "quick":
         if draw(st.booleans()):
             argv += ["--n", repr(draw(NUMBER))]
-        argv += ["--baseline", draw(st.sampled_from(["first", "low_decile"]))]
     elif draw(st.booleans()):
         if command == "fit" and draw(st.booleans()):
             argv.append("--weighted")

@@ -20,6 +20,7 @@ from opampfit import (
     QuickCrossoverFit,
     SweepRecord,
     Topology,
+    SweepPlan,
     closed_loop_gain,
     fit_f0,
 )
@@ -39,9 +40,9 @@ def synthetic_record(f0, feedback_r, gain_r, f_min, f_max, n, sigma=0.0, seed=No
     return SweepRecord(frequency_hz=freqs, gain=gains, topology=topo if with_meta else None)
 
 
-def quick_f0(record, n=2.0, baseline="first"):
+def quick_f0(record, n=2.0):
     """QuickCrossoverFit's f0 of a sweep record, with the record's topology."""
-    est = QuickCrossoverFit(n=n, topology=record.topology, baseline=baseline)
+    est = QuickCrossoverFit(n=n, topology=record.topology)
     return est.fit(record.frequency_hz, record.gain).f0_hz_
 
 
@@ -118,6 +119,8 @@ def test_regression_sums_outside_float_range_are_a_fit_error(weighted, freqs, ga
         ([1.0, 2.0, 3.0], [3.0, -2.0, 1.0]),  # non-positive gain
         ([1.0, math.nan, 3.0], [3.0, 2.0, 1.0]),  # not finite
         ([[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]),  # not 1-D
+        ([2.0, 1.0, 3.0], [3.0, 2.0, 1.0]),  # not increasing
+        ([1.0, 2.0, 2.0, 3.0], [3.0, 2.0, 2.0, 1.0]),  # repeated frequency
     ],
 )
 def test_estimators_validate_their_sweep(estimator, freqs, gains):
@@ -299,28 +302,21 @@ class TestQuickFit:
     def test_repeater_reads_f0_at_unit_dc_gain(self):
         # beta = 1: the closed-form |Y| = 1/|1 + j*f/f0| halves at f0*sqrt(3)
         record = synthetic_record(9.773e7, 0.0, math.inf, 1e3, 3e8, 512)
-        assert record.topology.is_repeater
+        assert record.topology.beta == 1.0 and record.topology.ideal_dc_gain == 1.0
         assert quick_f0(record, n=2.0) == pytest.approx(9.773e7, rel=1e-9)
 
-    def test_low_decile_baseline(self):
-        # log spacing keeps the whole lowest decile in the flat region, where
-        # averaging and the single-point baseline must agree
-        dev = DeviceParams(f0=9.773e7)
-        topo = Topology(feedback_r=100.0, gain_r=1.0)
-        freqs = np.geomspace(1e3, 3e6, 256)
-        gains = np.array([abs(closed_loop_gain(dev, topo, float(f))) for f in freqs])
-        record = SweepRecord(freqs, gains)
-        first = quick_f0(record, baseline="first")
-        decile = quick_f0(record, baseline="low_decile")
-        assert decile == pytest.approx(first, rel=1e-3)
-
     def test_first_point_must_be_flat(self):
-        # an anomalously low first sample invalidates the flat-region baseline
+        # with n one ulp above 1, (n/y0)^2 rounds to 1/y0^2: the first point
+        # has already "dropped" n-fold, and there is no point below it to
+        # bracket the crossing with
         freqs = np.linspace(1e3, 2.6e4, 26)
-        gains = np.concatenate(([5.0], np.linspace(100.0, 90.0, 25)))
+        gains = np.linspace(254.01, 90.0, 26)
         record = SweepRecord(freqs, gains)
-        with pytest.raises(FitError, match="flat region"):
-            quick_f0(record, n=2.0, baseline="low_decile")
+        n = 1.0 + 2.0**-52
+        assert 1.0 / (gains[0] * gains[0]) >= (n / gains[0]) ** 2
+        with pytest.raises(FitError, match=r"^gain ratio n = 1\.0000000000000002 is too close "
+                                           r"to 1 for the first gain 254\.01"):
+            quick_f0(record, n=n)
 
     def test_device_batch_spread_tracks_gain_noise(self):
         """Coarse oscilloscope-style sweeps with 3 % amplitude noise give a
@@ -420,6 +416,23 @@ def gain_matrix(draw):
     return record.frequency_hz, np.abs(np.array(rows))
 
 
+def regression_40_digits(u, v, weighted):
+    """Slope and intercept of the least-squares line through the floats
+    ``(u, v)``, weighted by ``1/v^2`` or not, at 40 digits with mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        u = [mp.mpf(x) for x in u.tolist()]
+        v = [mp.mpf(x) for x in v.tolist()]
+        w = [1 / (y * y) if weighted else mp.mpf(1) for y in v]
+        w_sum = mp.fsum(w)
+        u_bar = mp.fsum(a * b for a, b in zip(w, u)) / w_sum
+        v_bar = mp.fsum(a * b for a, b in zip(w, v)) / w_sum
+        cross = mp.fsum(a * (x - u_bar) * (y - v_bar) for a, x, y in zip(w, u, v))
+        denom = mp.fsum(a * (x - u_bar) ** 2 for a, x in zip(w, u))
+        slope = cross / denom
+        return float(slope), float(v_bar - slope * u_bar)
+
+
 class TestBatchedLineFit:
     @settings(max_examples=60)
     @given(sweeps=gain_matrix(), weighted=st.booleans())
@@ -464,6 +477,47 @@ class TestBatchedLineFit:
         *_, refusal = _fit_lines(*_roll_off_plane(np.array(f), gains)[:2], weighted)
         assert refusal.tolist() == expected
         assert "floating-point range" in _LINE_REFUSALS[3]
+
+    @given(
+        f0=st.floats(1e4, 1e10),
+        g0=st.one_of(st.just(math.inf), st.floats(1.5, 1e7)),
+        feedback_r=st.floats(0.1, 1e4),
+        gain_r=st.floats(0.1, 1e4),
+        # f_max over the loop's corner, as a power of ten, and f_min over f_max
+        top_exp=st.floats(-2.0, 2.0),
+        bottom=st.floats(1e-3, 1.0 - 1e-6),
+        n_points=st.integers(3, 128),
+        spacing=st.sampled_from(["linear", "log"]),
+    )
+    def test_lines_are_within_4_n_eps_kappa_of_a_40_digit_regression(
+        self, f0, g0, feedback_r, gain_r, top_exp, bottom, n_points, spacing,
+    ):
+        """On a noiseless sweep of ``n`` points, the slope is within
+        ``4*n*eps*kappa`` relative of the regression of the same floats at
+        40 digits, and the intercept within that much of the line's top
+        value ``v(f_max)``; ``kappa = v(f_max)/(v(f_max) - v(f_min))``.
+
+        A sum of ``n`` terms rounds by at most ``n*eps`` relative, and the
+        slope is the ratio of two sums of centred products.  Centring
+        cancels all but ``1/kappa`` of ``v``, and of ``u = f^2`` too, since
+        ``v`` rises with ``u`` from the intercept up.  The weights 1/v^2 add
+        a few ``eps``.  The intercept ``v_bar - slope*u_bar`` adds the
+        slope's error times ``slope*u_bar <= v(f_max)``."""
+        dev = DeviceParams(f0=f0, g0=g0)
+        topo = Topology(feedback_r=feedback_r, gain_r=gain_r)
+        f_max = f0 * (topo.beta + dev.inv_g0) * 10.0**top_exp
+        f = SweepPlan(bottom * f_max, f_max, n_points, spacing).frequencies()
+        gains = np.array([abs(closed_loop_gain(dev, topo, float(x))) for x in f])
+        u, v, in_range = _roll_off_plane(f, gains)
+        assert in_range
+        kappa = v[-1] / (v[-1] - v[0])
+        bound = 4.0 * n_points * np.finfo(float).eps * kappa
+        for weighted in (False, True):
+            slope, intercept, _, refusal = _fit_lines(u, v[np.newaxis], weighted)
+            assert refusal[0] == 0
+            exact_slope, exact_intercept = regression_40_digits(u, v, weighted)
+            assert abs(slope[0] - exact_slope) <= bound * exact_slope
+            assert abs(intercept[0] - exact_intercept) <= bound * v[-1]
 
     def test_plane_names_the_rows_in_range(self):
         f = np.array([1e4, 2e4, 3e4])

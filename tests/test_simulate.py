@@ -13,6 +13,7 @@ from opampfit import (
     CrossoverFrequencyFit,
     DeviceParams,
     FitError,
+    QuickCrossoverFit,
     SimConfig,
     SimulationError,
     SweepPlan,
@@ -598,7 +599,7 @@ class TestSweepMatchesTrace:
         np.testing.assert_allclose(record.gain, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("failure", ["drive cap", "amplifier step", "too fine",
-                                         "overflow"])
+                                         "overflow", "zero step"])
     def test_error_parity(self, failure):
         topo = Topology(feedback_r=100.0, gain_r=1.0)
         plan = SweepPlan(1e4, 2e4, 3)
@@ -616,10 +617,16 @@ class TestSweepMatchesTrace:
             dev, cfg, plan = DeviceParams(f0=1.0), None, SweepPlan(1e13, 2e13, 3)
             match = (r"^at 1e\+13 Hz the RK4 step \(3\.906e-16 s\) is too fine for the loop: "
                      r"its growth factor rounds to 1$")
-        else:
+        elif failure == "overflow":
             dev, cfg, plan = DeviceParams(f0=2.8e307), None, SweepPlan(1e-3, 2e-3, 3)
             topo = Topology(feedback_r=1.7e308, gain_r=0.1)
             match = r"^at 0\.001 Hz the steady-state response overflows"
+        else:
+            # 1e306 Hz times 256 steps per period overflows, so h = 1/inf = 0;
+            # the four lower points are planned and computed
+            dev, cfg, plan = DeviceParams(f0=1e307), None, SweepPlan(1e304, 1e306, 5, "log")
+            match = (r"^at 1e\+306 Hz the RK4 step is 0 s: the steps per period times the "
+                     r"frequency leave the floating-point range$")
         assert_same_sweep_error(dev, topo, plan, cfg, match)
 
     def test_sweep_cost_does_not_depend_on_steps(self, monkeypatch):
@@ -636,6 +643,14 @@ class TestSweepMatchesTrace:
         assert record.n_points == MAX_SWEEP_POINTS
         f = float(record.frequency_hz[-1])
         assert record.gain[-1] == pytest.approx(abs(closed_loop_gain(dev, topo, f)), rel=1e-6)
+
+
+def largest_z(dev, topo, plan, cfg):
+    """The largest ``max(|a|*h, w*h)`` over the plan: ``a`` the loop rate,
+    ``h`` the planned step and ``w`` the angular frequency."""
+    freqs = plan.frequencies()
+    h = 1.0 / (freqs * simulate._plan_window(dev, topo, freqs, cfg))
+    return float(np.max(np.maximum(simulate._loop_rate(dev, topo) * h, TWO_PI * freqs * h)))
 
 
 class TestAccuracyContract:
@@ -684,8 +699,49 @@ class TestAccuracyContract:
             est = CrossoverFrequencyFit().fit(record.frequency_hz, record.gain)
         except (SimulationError, FitError):
             assume(False)
-        freqs = plan.frequencies()
-        h = 1.0 / (freqs * simulate._plan_window(dev, topo, freqs, cfg))
-        z = float(np.max(np.maximum(simulate._loop_rate(dev, topo) * h, TWO_PI * freqs * h)))
         rounding = 8.0 * np.finfo(float).eps * kappa * n_points
-        assert abs(est.f0_hz_ / f0 - 1.0) <= z**4 / 60.0 + rounding
+        assert abs(est.f0_hz_ / f0 - 1.0) <= largest_z(dev, topo, plan, cfg)**4 / 60.0 + rounding
+
+    @settings(max_examples=max(200, settings().max_examples), deadline=None)
+    @given(
+        f0=st.floats(1e4, 1e10),
+        feedback_r=st.floats(0.1, 1e4),
+        gain_r=st.floats(0.1, 1e4),
+        # f_min over the loop's corner, and f_max over it, as powers of ten
+        bottom_exp=st.floats(-3.0, math.log10(0.32)),
+        top_exp=st.floats(math.log10(3.5), 2.0),
+        n=st.sampled_from([math.sqrt(2.0), 2.0, 3.0]),
+        n_points=st.integers(3, 64),
+        spacing=st.sampled_from(["linear", "log"]),
+        steps_per_period=st.integers(64, 1024),
+        steps_per_tau=st.integers(0, 64),
+    )
+    def test_noiseless_quick_readout_is_high_by_its_baseline_bias(
+        self, f0, feedback_r, gain_r, bottom_exp, top_exp, n, n_points, spacing,
+        steps_per_period, steps_per_tau,
+    ):
+        """The topology-aware quick readout takes the DC gain at the first
+        point, ``f_min``, where ``1/Y^2`` is already ``beta^2 + (f_min/f0)^2``.
+        Its n-fold drop then lies at ``f^2 = (n^2 - 1) beta^2 f0^2 + n^2 f_min^2``,
+        so on the line it reads ``f0 * sqrt(1 + n^2 x/(n^2 - 1))``, with
+        ``x = (f_min/(f0*beta))^2``.
+
+        Each RK4 gain is within ``z**4/120`` of the line, plus rounding.
+        ``1/gain^2`` doubles that relative error.  The crossing's ``f^2``
+        moves with three such values, the target and its two brackets, each
+        at most ``n^2/(n^2 - 1)`` of ``f^2`` in size, and ``f`` moves by half
+        as much."""
+        dev = DeviceParams(f0=f0)
+        topo = Topology(feedback_r=feedback_r, gain_r=gain_r)
+        corner = f0 * topo.beta
+        plan = SweepPlan(10.0**bottom_exp * corner, 10.0**top_exp * corner, n_points, spacing)
+        cfg = SimConfig(steps_per_period=steps_per_period, steps_per_tau=steps_per_tau)
+        try:
+            record = run_sweep(dev, topo, plan, cfg=cfg)
+        except SimulationError:
+            assume(False)
+        est = QuickCrossoverFit(n=n, topology=topo).fit(record.frequency_hz, record.gain)
+        x = (plan.f_min / corner) ** 2
+        biased = f0 * math.sqrt(1.0 + n * n * x / (n * n - 1.0))
+        step_and_rounding = largest_z(dev, topo, plan, cfg)**4 / 120.0 + 8.0 * np.finfo(float).eps
+        assert abs(est.f0_hz_ / biased - 1.0) <= 3.0 * n * n / (n * n - 1.0) * step_and_rounding
