@@ -102,7 +102,10 @@ def analyze_batch(samples) -> BatchDistribution:
     if stddev == 0.0:
         raise _ZeroSpreadError(mean)
     n = arr.size
-    x = (np.sort(arr, kind="stable") - mean) / stddev
+    ordered = np.sort(arr)
+    if mean == 0.0:  # -0.0 and 0.0 standardise apart: keep their order, as a stable sort does
+        ordered[ordered == 0.0] = arr[arr == 0.0]
+    x = (ordered - mean) / stddev
     p = np.arange(1, n + 1) / n
     phi = normal_reference_cdf(x)
     d_upper = np.abs(p - phi)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -117,6 +119,11 @@ def _text_field(value: str) -> str:
     return value
 
 
+def _open_untruncated(path, flags: int) -> int:
+    """``os.open`` for :func:`open` with the flags it asks for but ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_csv(path, header: str, columns, comments=()) -> None:
     """Write a UTF-8 CSV: the ``comments`` lines, ``header``, then one row per
     index of the equal-length ``columns``.
@@ -125,6 +132,12 @@ def _write_csv(path, header: str, columns, comments=()) -> None:
     (outside numpy array columns) is written as it is and must read back
     unchanged (:func:`_text_field`); a comment must start with ``#`` and hold
     no CR or LF.  Both are checked before the file is opened.
+
+    An existing file is rewritten in place and then cut at what was written,
+    rather than truncated on open: it keeps its inode and mode, and on ext4
+    this skips the writeback that truncating a file to zero starts on close.
+    The cut runs also when the write fails, so only the new prefix remains.
+    Only a regular file is cut; ``/dev/null`` and pipes cannot be.
     """
     for line in comments:
         if not line.startswith("#") or "\r" in line or "\n" in line:
@@ -135,11 +148,17 @@ def _write_csv(path, header: str, columns, comments=()) -> None:
         else [_text_field(v) if isinstance(v, str) else repr(float(v)) for v in col]
         for col in columns
     ]
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for line in (*comments, header):
-            fh.write(line + "\n")
-        for row in zip(*fields):
-            fh.write(",".join(row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated) as fh:
+        try:
+            for line in (*comments, header):
+                fh.write(line + "\n")
+            for row in zip(*fields):
+                fh.write(",".join(row) + "\n")
+            fh.flush()
+        finally:
+            fd = fh.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def read_sweep_file(path) -> tuple[SweepRecord, list[str]]:

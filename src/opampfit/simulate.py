@@ -353,8 +353,12 @@ def _noisy_gains(
     Returns the ``(len(seeds), n_points)`` gain matrix and the refusal of
     the first gain, in row-major order, that the noise left non-positive or
     overflowed: ``(row, SimulationError)``, or None.  Rows after that one
-    are not checked.
+    are not checked.  A zero ``sigma_rel`` scales by ``1 + 0*z == 1``, so
+    it draws nothing and returns a read-only view repeating ``record.gain``,
+    whose gains a :class:`SweepRecord` holds positive and finite.
     """
+    if sigma_rel == 0.0:
+        return np.broadcast_to(record.gain, (len(seeds), record.n_points)), None
     draws = np.empty((len(seeds), record.n_points))
     for row, words in zip(draws, seeds):
         np.random.default_rng(words).standard_normal(out=row)

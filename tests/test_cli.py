@@ -1,10 +1,15 @@
 """Command-line interface tests, exercised through click's test runner."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
 import warnings
 import weakref
@@ -17,6 +22,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import opampfit
 from opampfit import (
     CalibrationWarning,
     DeviceParams,
@@ -675,6 +681,111 @@ def test_mc_blocks_keep_the_per_trial_order(tmp_path, trials, fields, first_fail
         assert lines[-1].startswith(f"error: trial {first_failing}: ")
     warned = [int(line.split()[2].rstrip(":")) for line in lines if line.startswith("warning")]
     assert (min(warned, default=16) < 16 <= max(warned, default=0)) == warns_in_both_blocks
+
+
+@pytest.mark.parametrize("trials,fields", [
+    (1, {"n_points": 3, "sigma_rel": 0.0, "seed": 0}),
+    (9, {"n_points": 32, "sigma_rel": 0.0, "seed": 5, "feedback_r_ohm": 1989.0,
+         "gain_r_ohm": 20.1}),
+    (5, {"n_points": 3, "sigma_rel": 0.0, "seed": 1, "f_max_hz": 1.01e4}),
+    # two blocks of 16 trials
+    (20, {"n_points": 2**16, "sigma_rel": 0.0, "seed": 3, "f_max_hz": 3e7}),
+])
+def test_noiseless_mc_draws_no_noise(tmp_path, monkeypatch, trials, fields):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a noiseless run built a noise generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert_mc_matches_per_trial_loop(tmp_path, trials, 0.999, fields)
+
+
+def test_plot_data_over_longer_files_leaves_only_the_new_bytes(runner, tmp_path):
+    for n in (64, 8):
+        assert runner.invoke(main, ["synth", str(tmp_path / f"s{n}.csv"), "--points", str(n)]
+                             ).exit_code == 0
+        write_batch_file(tmp_path / f"b{n}.csv", [str(i) for i in range(n)],
+                         1e8 + 1e6 * np.arange(n))
+    for command, prefix in (("fit", "s"), ("batch", "b")):
+        for n, plot_dir in ((64, "over"), (8, "over"), (8, "fresh")):
+            result = runner.invoke(main, [command, str(tmp_path / f"{prefix}{n}.csv"),
+                                          "--plot-data", str(tmp_path / plot_dir)])
+            assert result.exit_code == 0, result.output
+    written = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert written == ["ecdf.csv", "fit_line.csv", "fit_points.csv", "normal_cdf.csv"]
+    for name in written:
+        assert (tmp_path / "over" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+# Runs the CLI with writes past a file size limit failing with EFBIG rather
+# than killing the process with SIGXFSZ.
+FSIZE_LIMITED_RUN = """
+import resource, signal, sys
+from opampfit.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+main(sys.argv[2:])
+"""
+
+
+def run_child(code, *args, cwd=None):
+    """``code`` run in a fresh interpreter that imports this opampfit."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                          "PYTHONPATH": str(Path(opampfit.__file__).resolve().parents[1])})
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file size limits")
+def test_failed_overwrite_leaves_only_what_reached_the_file(runner, tmp_path):
+    expected = tmp_path / "expected.csv"
+    assert runner.invoke(main, ["synth", str(expected)]).exit_code == 0
+    new = expected.read_bytes()
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"~" * (2 * len(new)))
+    limit = 4096
+    assert limit < len(new)
+    done = run_child(FSIZE_LIMITED_RUN, str(limit), "synth", str(out))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith(f"error: [Errno {errno.EFBIG}] ")
+    got = out.read_bytes()
+    assert 0 < len(got) <= limit and got == new[:len(got)]
+
+
+# Records every file open that the runs make: an ``open()`` raises the
+# audit event with the flags it asks for, and an opener's ``os.open`` raises
+# it again (mode None) with the flags it passes on.
+OPENS_OF_RUNS = """
+import json, sys
+from opampfit.cli import main
+opens = []
+sys.addaudithook(lambda event, args: event == "open" and opens.append(
+    [str(args[0]), args[1], args[2]]))
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(json.dumps(opens))
+"""
+
+
+def test_no_run_truncates_a_file_on_open(tmp_path):
+    runs = [["synth", "s.csv", "--points", "16"], ["synth", "s.csv", "--points", "8"],
+            ["mc", "mc.csv", "--trials", "3", "--points", "8"],
+            ["fit", "s.csv", "--plot-data", "plots"]]
+    done = run_child(OPENS_OF_RUNS, json.dumps(runs), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    opens = json.loads(done.stdout.splitlines()[-1])
+    writes = [i for i, (_, mode, flags) in enumerate(opens)
+              if mode is not None and flags & (os.O_WRONLY | os.O_RDWR)]
+    assert [opens[i][0] for i in writes] == [
+        "s.csv", "s.csv", "mc.csv", str(Path("plots", "fit_points.csv")),
+        str(Path("plots", "fit_line.csv"))]
+    # each goes through an opener, whose os.open comes next
+    assert all(opens[i + 1][:2] == [opens[i][0], None] for i in writes)
+    assert [o for o in opens if o[1] is None and o[2] & os.O_TRUNC] == []
 
 
 @pytest.mark.parametrize("argv", [["mc", "mc.csv", "--trials", "2", "--points", "8"],

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opampfit import analyze_batch, normal_reference_cdf
+from opampfit import distribution
 from opampfit.distribution import batch_stats
 
 SQRT2 = math.sqrt(2.0)
@@ -221,3 +222,24 @@ def test_analyze_batch_ignores_sample_order(samples, data):
     assert b.kolmogorov_d == pytest.approx(a.kolmogorov_d, abs=1e-9)
     assert b.kolmogorov_d_onesided == pytest.approx(a.kolmogorov_d_onesided, abs=1e-9)
     assert b.cdf_corr == pytest.approx(a.cdf_corr, abs=1e-9)
+
+
+# Few distinct values, so ties are common, among them -0.0 and 0.0, which
+# compare equal but differ in their bits.  Every sum of these values is
+# exact, so a batch followed by its negation has a mean of exactly 0, where
+# the two zeros standardise to -0.0 and 0.0.
+TIED_VALUES = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.0, 0.5]),
+              st.integers(-10**6, 10**6).map(lambda k: k / 64)),
+    min_size=1, max_size=100)
+TIED_BATCH = st.one_of(TIED_VALUES, TIED_VALUES.map(lambda s: s + [-v for v in s]))
+
+
+@settings(max_examples=max(200, settings().max_examples))
+@given(samples=TIED_BATCH.filter(lambda s: min(s) < max(s)))
+@example(samples=[0.0, -1.0, -0.0, 1.0] * 5)
+def test_ecdf_x_equals_a_stable_sort_bit_for_bit(samples):
+    arr = np.array(samples)
+    _, mean, stddev = distribution._moments(arr)
+    expected = (np.sort(arr, kind="stable") - mean) / stddev
+    assert analyze_batch(arr).ecdf_x.tobytes() == expected.tobytes()

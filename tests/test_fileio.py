@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -242,6 +243,65 @@ def test_comment_that_would_not_read_back_is_refused(tmp_path, bad, write):
             write_batch_file(path, ["a"], [1.0], ["# ok", bad])
     assert repr(bad) in str(excinfo.value)
     assert not path.exists()
+
+
+# The writers rewrite an existing file in place and cut it at what they
+# wrote, where truncating it on open would make ext4 start its writeback on
+# close: these pin what a truncating open would have left.
+WRITERS = {
+    "sweep": lambda path, n: write_sweep_file(
+        path, SweepRecord(np.arange(1.0, n + 1.0), np.full(n, 2.5)), [f"# rows = {n}"]),
+    "batch": lambda path, n: write_batch_file(path, [f"id{i}" for i in range(n)], np.full(n, 1e8)),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_shorter_write_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, writer):
+    write = WRITERS[writer]
+    write(tmp_path / "fresh.csv", 3)
+    path = tmp_path / "out.csv"
+    write(path, 500)
+    inode = path.stat().st_ino
+    write(path, 3)
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert path.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_write_to_the_null_device(writer):
+    WRITERS[writer](os.devnull, 500)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_symlinked_output_is_written_through(tmp_path, writer):
+    write = WRITERS[writer]
+    write(tmp_path / "fresh.csv", 3)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    write(target, 500)
+    try:
+        link.symlink_to(target)
+    except OSError as err:  # Windows without the symlink privilege
+        pytest.skip(f"cannot make a symlink: {err}")
+    write(link, 3)
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("writer", WRITERS)
+def test_existing_file_keeps_its_mode_and_a_new_one_gets_the_umask(tmp_path, writer):
+    write = WRITERS[writer]
+    path = tmp_path / "out.csv"
+    write(path, 500)
+    path.chmod(0o640)
+    write(path, 3)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    umask = os.umask(0o002)
+    try:
+        write(tmp_path / "new.csv", 3)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o664
 
 
 # Text built from the characters of the two formats reaches the row checks
